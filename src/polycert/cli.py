@@ -27,7 +27,7 @@ from .monomial import MonomialOrder, VariableSet
 from .recursive import RecursionMode, format_recursive, to_recursive
 from .verifier import ScanDirection, verify
 
-_ORDERS = {o.value: o for o in MonomialOrder}
+_ORDER_NAMES = sorted(o.value for o in MonomialOrder)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,7 +39,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def poly_flags(p):
         p.add_argument("--vars", required=True, help="comma-separated variable names")
-        p.add_argument("--order", default="grlex", choices=sorted(_ORDERS))
+        p.add_argument("--order", default="grlex", choices=_ORDER_NAMES)
         p.add_argument("--output", default=None, help="output file (default stdout)")
 
     v = sub.add_parser("verify", help="verify a cofactor certificate")
@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--mul", nargs=2, default=None, metavar="POLY",
                    help="two polynomial files to multiply (heap engine)")
     s.add_argument("--vars", default=None)
-    s.add_argument("--order", default="grlex", choices=sorted(_ORDERS))
+    s.add_argument("--order", default="grlex", choices=_ORDER_NAMES)
     s.add_argument("--direction", default="max", choices=["max", "min"])
     s.add_argument("--format", default="text", choices=["text", "csv"])
     s.add_argument("--output", default=None)
@@ -97,7 +97,7 @@ def _emit(text: str, output: str | None) -> None:
 
 def _load_poly(path: str, args):
     varset = VariableSet(tuple(v for v in args.vars.split(",") if v))
-    order = _ORDERS[args.order]
+    order = MonomialOrder(args.order)
     return textio.parse_poly(_read(path), varset, order), varset, order
 
 

@@ -2,9 +2,10 @@
 
 Callers open an instrumentation scope with :func:`count_ops`; every kernel
 operation executed inside the scope accumulates monomial comparisons,
-coefficient additions/multiplications and heap extractions into it.  Scopes
-nest: an increment lands in every currently open scope, so an outer scope
-sees the totals of everything run inside it.
+coefficient additions/multiplications and heap extractions into it, and
+records the largest merge heap it saw.  Scopes nest: an increment lands in
+every currently open scope, so an outer scope sees the totals (and the peak)
+of everything run inside it.
 
 Counters are per-scope and single-owner; the scope stack is module-local and
 must not be shared across threads.
@@ -22,6 +23,7 @@ class OpCounters:
     coeff_adds: int = 0
     coeff_muls: int = 0
     heap_extractions: int = 0
+    heap_peak: int = 0  # largest merge heap in the scope: a max, not a sum
 
 
 _active: list[OpCounters] = []
@@ -56,3 +58,9 @@ def tick_coeff_mul(n: int = 1) -> None:
 def tick_heap_extraction(n: int = 1) -> None:
     for c in _active:
         c.heap_extractions += n
+
+
+def record_heap_size(n: int) -> None:
+    for c in _active:
+        if n > c.heap_peak:
+            c.heap_peak = n

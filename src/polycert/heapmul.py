@@ -1,29 +1,42 @@
-"""Heap-merged sparse multiplication.
+"""Heap-merged sparse multiplication: one stream-merge engine.
 
-The product f*g is computed by merging the #f unevaluated streams f_i*g
-with a binary heap keyed by the monomial of the would-be product term.
-Each stream keeps a cursor into g's term list, so "the rest of g" costs
-nothing to represent.  The heap never holds more than one entry per stream
-(#f entries), every (i, j) pair is extracted exactly once (#f*#g
-extractions), and output terms are emitted greatest monomial first, so the
-result list is built by O(1) appends.
+:func:`merge_products` is Johnson's (1974) merge of unevaluated products.
+Given pairs (a_k, b_k) it yields the terms of sum_k a_k * b_k in scan
+order.  Each term of a_k seeds one stream a_k[i] * b_k whose cursor walks
+b_k's term list, so "the rest of b_k" costs nothing to represent.  One
+binary heap, keyed by the monomial of each stream's next product term,
+holds every stream; it never holds more than one entry per stream, and every
+stream entry is extracted exactly once.  Equal monomials are extracted back
+to back and their coefficients summed, so each yielded term is final and
+the output is built by O(1) appends.  Min-first scans read every b_k from
+its trailing end and invert the comparison.
 
-Geobucket-sourced variants: convert the geobucket to a list first, stream
-each nonempty bucket separately (up to #f * #buckets heap entries), or a
-hybrid that folds small buckets into one list and streams the large ones.
+Every product in the package is a thin consumer of the engine:
+:func:`mul_heap` merges the single pair (f, g) with #f heap entries and
+#f*#g extractions; the geobucket routes of :func:`mul_heap_gb` convert the
+geobucket to a list first, stream each nonempty bucket as its own pair (up
+to #f * #buckets heap entries), or fold small buckets into one list and
+stream the large ones; the certificate verifier merges (f_i, lambda_i) for
+every pair.
 """
 
 from __future__ import annotations
 
 import heapq
 from enum import Enum
+from typing import Iterable, Iterator
 
 from . import poly
-from .counters import tick_coeff_add, tick_coeff_mul, tick_heap_extraction
+from .counters import (
+    record_heap_size,
+    tick_coeff_add,
+    tick_coeff_mul,
+    tick_heap_extraction,
+)
 from .errors import OrderMismatchError
 from .geobucket import Geobucket
 from .monomial import ExponentVector, MonomialOrder, ev_add, ev_compare
-from .poly import Polynomial, Term
+from .poly import Coefficient, Polynomial, Term
 
 
 class _HeapKey:
@@ -44,35 +57,56 @@ class _HeapKey:
         return c > 0 if self.descending else c < 0
 
 
-class MergeHeap:
-    """Binary max-heap (or min-heap) of (monomial, payload) entries.
+def merge_products(
+    pairs: Iterable[tuple[Polynomial, Polynomial]],
+    order: MonomialOrder,
+    descending: bool = True,
+) -> Iterator[tuple[ExponentVector, Coefficient]]:
+    """Yield the nonzero (monomial, coeff) terms of sum a_k * b_k in scan order.
 
-    Ties on equal monomials fall through to the payload, so payloads must be
-    totally ordered; stream indices make runs deterministic.
+    Scan order is greatest monomial first when `descending`, else smallest
+    first.  Each yielded term sums every stream entry at its monomial, and
+    nothing past it is extracted until the next term is requested, so a
+    consumer that stops early has extracted exactly the entries at or before
+    its last term.  Ticks land in the counter scopes open at each step.
     """
+    heappush, heappop = heapq.heappush, heapq.heappop
+    a_terms: list[tuple[Term, ...]] = []
+    b_terms: list[tuple[Term, ...]] = []
+    heap: list[tuple[_HeapKey, tuple[int, int, int]]] = []
+    for a, b in pairs:
+        bt = b.terms if descending else b.terms[::-1]
+        if not bt:
+            continue
+        k = len(a_terms)
+        a_terms.append(a.terms)
+        b_terms.append(bt)
+        for i, at in enumerate(a.terms):
+            key = _HeapKey(ev_add(at.degrees, bt[0].degrees), order, descending)
+            heappush(heap, (key, (k, i, 0)))
+    # A step pops an entry before it pushes at most that stream's successor,
+    # so the heap never outgrows its seeded size: this is its peak.
+    record_heap_size(len(heap))
 
-    def __init__(
-        self, order: MonomialOrder, descending: bool = True, count_extractions: bool = True
-    ):
-        self.order = order
-        self.descending = descending
-        self.count_extractions = count_extractions
-        self._items: list[tuple[_HeapKey, object]] = []
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def push(self, ev: ExponentVector, payload) -> None:
-        heapq.heappush(self._items, (_HeapKey(ev, self.order, self.descending), payload))
-
-    def pop(self) -> tuple[ExponentVector, object]:
-        key, payload = heapq.heappop(self._items)
-        if self.count_extractions:
-            tick_heap_extraction()
-        return key.ev, payload
-
-    def peek_key(self) -> ExponentVector:
-        return self._items[0][0].ev
+    ev: ExponentVector | None = None  # monomial of the tie group being summed
+    while heap:
+        key, (k, i, j) = heappop(heap)
+        tick_heap_extraction()
+        at, bt = a_terms[k][i], b_terms[k]
+        tick_coeff_mul()
+        c = at.coeff * bt[j].coeff
+        if j + 1 < len(bt):
+            nxt = _HeapKey(ev_add(at.degrees, bt[j + 1].degrees), order, descending)
+            heappush(heap, (nxt, (k, i, j + 1)))
+        if ev is None:
+            ev, coeff = key.ev, c
+        else:
+            tick_coeff_add()
+            coeff = coeff + c
+        if not heap or heap[0][0].ev.exponents != ev.exponents:
+            if coeff != 0:
+                yield ev, coeff
+            ev = None
 
 
 class GbRoute(Enum):
@@ -81,49 +115,18 @@ class GbRoute(Enum):
     HYBRID = "hybrid"
 
 
-def _merge_streams(
-    f: Polynomial,
-    g_lists: list[tuple[Term, ...]],
-    order: MonomialOrder,
-    max_entries: int | None = None,
+def _collect(
+    order: MonomialOrder, pairs: list[tuple[Polynomial, Polynomial]]
 ) -> Polynomial:
-    """Heap-merge the streams f_i x g for every g term list in g_lists."""
-    heap = MergeHeap(order)
-    for i, ft in enumerate(f.terms):
-        for li, gterms in enumerate(g_lists):
-            if gterms:
-                heap.push(ev_add(ft.degrees, gterms[0].degrees), (i, li, 0))
-    out: list[Term] = []
-    cur_ev: ExponentVector | None = None
-    cur_coeff = 0
-    while len(heap):
-        if max_entries is not None:
-            assert len(heap) <= max_entries
-        ev, (i, li, j) = heap.pop()
-        gterms = g_lists[li]
-        tick_coeff_mul()
-        c = f.terms[i].coeff * gterms[j].coeff
-        if cur_ev is not None and cur_ev.exponents == ev.exponents:
-            tick_coeff_add()
-            cur_coeff = cur_coeff + c
-        else:
-            if cur_ev is not None and cur_coeff != 0:
-                out.append(Term(cur_ev, cur_coeff))
-            cur_ev, cur_coeff = ev, c
-        if j + 1 < len(gterms):
-            heap.push(ev_add(f.terms[i].degrees, gterms[j + 1].degrees), (i, li, j + 1))
-    if cur_ev is not None and cur_coeff != 0:
-        out.append(Term(cur_ev, cur_coeff))
-    return Polynomial(order, tuple(out))
+    terms = merge_products(pairs, order)
+    return Polynomial(order, tuple(Term(ev, c) for ev, c in terms))
 
 
 def mul_heap(f: Polynomial, g: Polynomial) -> Polynomial:
     """Johnson multiplication: f supplies the streams, g the term list."""
     if f.order is not g.order:
         raise OrderMismatchError(f"{f.order} vs {g.order}")
-    if not f.terms or not g.terms:
-        return poly.zero(f.order)
-    return _merge_streams(f, [g.terms], f.order, max_entries=len(f.terms))
+    return _collect(f.order, [(f, g)])
 
 
 def mul_heap_gb(
@@ -137,10 +140,8 @@ def mul_heap_gb(
         raise OrderMismatchError(f"{f.order} vs {g.order}")
     if route is GbRoute.CONVERT_FIRST:
         return mul_heap(f, g.normalize())
-    if not f.terms:
-        return poly.zero(f.order)
     if route is GbRoute.PER_BUCKET_STREAMS:
-        lists = [bk.terms for bk in g.buckets[1:] if bk.terms]
+        lists = [bk for bk in g.buckets[1:] if bk.terms]
     else:  # hybrid: fold small buckets into one list, stream large ones
         small = poly.zero(g.order)
         lists = []
@@ -150,9 +151,7 @@ def mul_heap_gb(
             if len(bk.terms) <= hybrid_threshold:
                 small = poly.add(small, bk)
             else:
-                lists.append(bk.terms)
+                lists.append(bk)
         if small.terms:
-            lists.append(small.terms)
-    if not lists:
-        return poly.zero(f.order)
-    return _merge_streams(f, lists, f.order, max_entries=len(f.terms) * len(lists))
+            lists.append(small)
+    return _collect(f.order, [(f, bk) for bk in lists])

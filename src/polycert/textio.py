@@ -217,7 +217,6 @@ def read_naive(
 
 # -- certificate files -------------------------------------------------------
 
-_ORDERS = {o.value: o for o in MonomialOrder}
 _LABEL = re.compile(r"^(vars|order|N|f|lambda\[(\d+)\]|g\[(\d+)\]):\s*(.*)$")
 
 
@@ -245,9 +244,10 @@ def parse_certificate(text: str) -> Certificate:
             raise CertificateFormatError(f"missing section {required!r}")
     varset = VariableSet(tuple(sections["vars"].split()))
     order_name = sections["order"].strip()
-    if order_name not in _ORDERS:
-        raise CertificateFormatError(f"unknown order {order_name!r}")
-    order = _ORDERS[order_name]
+    try:
+        order = MonomialOrder(order_name)
+    except ValueError:
+        raise CertificateFormatError(f"unknown order {order_name!r}") from None
     try:
         n = int(sections["N"])
     except ValueError:

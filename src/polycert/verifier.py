@@ -1,13 +1,13 @@
 """Certificate verification without product construction.
 
 A certificate claims f = sum_i lambda_i * f_i.  Verification checks the
-residual form 0 = (-1)*f + sum_i lambda_i * f_i: each product is
-represented only by a stream heap (one stream per f_i term, cursors walking
-lambda_i), (-1)*f joins as one more degenerate single-stream heap, and an
-outer heap of heaps merges them all.  No product is ever materialized; at
-each extracted monomial the coefficients of every tied stream are
-accumulated and tested for zero.  The first nonzero residual monomial in
-scan direction is the witness.
+residual form 0 = (-1)*f + sum_i lambda_i * f_i with the stream-merge
+engine of :mod:`polycert.heapmul`: each product contributes one stream per
+f_i term (cursors walking lambda_i), (-1)*f joins as one more single
+stream walking f, and one heap holds every stream.  No product is ever
+materialized; at each extracted monomial the coefficients of every tied
+stream entry are summed and tested for zero.  The first nonzero residual
+monomial in scan direction is the witness, and the merge stops there.
 
 ``max_first`` scans from the greatest monomial down; ``min_first`` inverts
 every comparison and walks the term lists from their trailing ends, which
@@ -21,10 +21,10 @@ from enum import Enum
 from typing import Optional
 
 from . import poly
-from .counters import OpCounters, count_ops, tick_coeff_add, tick_coeff_mul
+from .counters import OpCounters, count_ops
 from .errors import CertificateFormatError
-from .heapmul import MergeHeap
-from .monomial import ExponentVector, MonomialOrder, VariableSet, ev_add, ev_make
+from .heapmul import merge_products
+from .monomial import ExponentVector, MonomialOrder, VariableSet, ev_make
 from .poly import Coefficient, Polynomial, Term
 
 
@@ -44,7 +44,7 @@ class Certificate:
 @dataclass
 class VerifyStats:
     counters: OpCounters
-    peak_terms: int  # max simultaneously live terms (inputs + heap entries)
+    peak_terms: int  # max simultaneously live terms: inputs + peak heap entries
 
 
 @dataclass
@@ -66,126 +66,30 @@ def check_certificate(cert: Certificate) -> None:
                 raise CertificateFormatError("mixed dimensions in certificate")
 
 
-class _ProductHeap:
-    """Inner heap for one unevaluated product: streams f_i terms across g."""
-
-    def __init__(
-        self,
-        stream_side: Polynomial,
-        list_side: Polynomial,
-        order: MonomialOrder,
-        descending: bool,
-    ):
-        self.gterms = (
-            list_side.terms if descending else tuple(reversed(list_side.terms))
-        )
-        self.fterms = stream_side.terms
-        self.heap = MergeHeap(order, descending)
-        for i, ft in enumerate(self.fterms):
-            if self.gterms:
-                self.heap.push(ev_add(ft.degrees, self.gterms[0].degrees), (i, 0))
-
-    def __len__(self) -> int:
-        return len(self.heap)
-
-    def peek_key(self) -> ExponentVector:
-        return self.heap.peek_key()
-
-    def extract_key(self, key: ExponentVector) -> Coefficient:
-        """Pop every entry at `key`, advance its cursor, return the coefficient sum."""
-        total = 0
-        while len(self.heap) and self.heap.peek_key().exponents == key.exponents:
-            _, (i, j) = self.heap.pop()
-            tick_coeff_mul()
-            total = total + self.fterms[i].coeff * self.gterms[j].coeff
-            if j + 1 < len(self.gterms):
-                self.heap.push(
-                    ev_add(self.fterms[i].degrees, self.gterms[j + 1].degrees),
-                    (i, j + 1),
-                )
-        return total
-
-
-def _merge_certificate(
-    cert: Certificate,
-    direction: ScanDirection,
-    include_negated_f: bool,
-    on_term,
-) -> VerifyStats:
-    """Drive the heap-of-heaps merge, calling on_term(ev, coeff) per nonzero
-    residual term, greatest (or smallest) first.  Returns the run's stats."""
-    descending = direction is ScanDirection.MAX_FIRST
-    nvars = len(cert.varset)
-    with count_ops() as counters:
-        inners = [
-            _ProductHeap(f_i, lam_i, cert.order, descending)
-            for lam_i, f_i in cert.pairs
-        ]
-        input_terms = len(cert.f.terms) + sum(
-            len(l.terms) + len(g.terms) for l, g in cert.pairs
-        )
-        if include_negated_f:
-            minus_one = Polynomial(
-                cert.order, (Term(ev_make((0,) * nvars), -1),)
-            )
-            # degenerate single-stream heap: lambda = -1, list side = f
-            inners.append(_ProductHeap(minus_one, cert.f, cert.order, descending))
-        # outer heap holds inner-heap references, not terms: pops not counted
-        outer = MergeHeap(cert.order, descending, count_extractions=False)
-        for idx, h in enumerate(inners):
-            if len(h):
-                outer.push(h.peek_key(), idx)
-        peak = input_terms + sum(len(h) for h in inners) + len(outer)
-        stop = False
-        while len(outer) and not stop:
-            assert len(outer) <= len(cert.pairs) + 1
-            key, idx = outer.pop()
-            coeff = inners[idx].extract_key(key)
-            touched = [idx]
-            while len(outer) and outer.peek_key().exponents == key.exponents:
-                _, idx2 = outer.pop()
-                tick_coeff_add()
-                coeff = coeff + inners[idx2].extract_key(key)
-                touched.append(idx2)
-            for t in touched:
-                if len(inners[t]):
-                    outer.push(inners[t].peek_key(), t)
-            live = input_terms + sum(len(h) for h in inners) + len(outer)
-            if live > peak:
-                peak = live
-            if coeff != 0:
-                stop = on_term(key, coeff)
-    return VerifyStats(counters, peak)
-
-
 def verify(
     cert: Certificate, direction: ScanDirection = ScanDirection.MAX_FIRST
 ) -> VerifyResult:
     """Check 0 = (-1)f + sum lambda_i f_i by a single streaming merge."""
     check_certificate(cert)
-    witness: list = []
-
-    def on_term(ev, coeff) -> bool:
-        witness.append((ev, coeff))
-        return True  # first nonzero residual term: stop
-
-    stats = _merge_certificate(cert, direction, True, on_term)
-    if witness:
-        return VerifyResult(False, witness[0], stats)
-    return VerifyResult(True, None, stats)
+    minus_one = Polynomial(cert.order, (Term(ev_make((0,) * len(cert.varset)), -1),))
+    pairs = [(f_i, lam_i) for lam_i, f_i in cert.pairs] + [(minus_one, cert.f)]
+    descending = direction is ScanDirection.MAX_FIRST
+    with count_ops() as counters:
+        # the first nonzero residual term is the witness; the merge stops there
+        witness = next(merge_products(pairs, cert.order, descending), None)
+    input_terms = len(cert.f.terms) + sum(
+        len(lam.terms) + len(g.terms) for lam, g in cert.pairs
+    )
+    stats = VerifyStats(counters, input_terms + counters.heap_peak)
+    return VerifyResult(witness is None, witness, stats)
 
 
 def combine(cert: Certificate) -> Polynomial:
     """Materialize sum lambda_i f_i term by term, greatest monomial first."""
     check_certificate(cert)
-    out: list[Term] = []
-
-    def on_term(ev, coeff) -> bool:
-        out.append(Term(ev, coeff))
-        return False
-
-    _merge_certificate(cert, ScanDirection.MAX_FIRST, False, on_term)
-    return Polynomial(cert.order, tuple(out))
+    pairs = [(f_i, lam_i) for lam_i, f_i in cert.pairs]
+    terms = merge_products(pairs, cert.order)
+    return Polynomial(cert.order, tuple(Term(ev, c) for ev, c in terms))
 
 
 def verify_naive(cert: Certificate) -> VerifyResult:

@@ -129,3 +129,40 @@ def test_comparison_scaling_band(rng):
             mul_heap(f, g)
         ratio = c.comparisons / (n * n * math.log2(n))
         assert 0.2 <= ratio <= 5.0
+
+
+import random  # noqa: E402
+
+
+def test_heap_peak_bound_on_criterion_4_instances():
+    # the instances of acceptance criterion 4, which relies on this bound
+    rng = random.Random(3)
+    for i in range(1000):
+        order = ORDERS[i % 3]
+        f = random_poly(rng, order, rng.randrange(0, 33), rational=i % 2 == 0)
+        g = random_poly(rng, order, rng.randrange(0, 33), rational=i % 5 == 0)
+        with count_ops() as c:
+            mul_heap(f, g)
+        assert c.heap_peak <= term_count(f)
+
+
+@pytest.mark.parametrize("route", [GbRoute.PER_BUCKET_STREAMS, GbRoute.HYBRID])
+def test_gb_route_heap_peak_bound(rng, route):
+    threshold = 8
+    multi_list_runs = 0
+    for _ in range(60):
+        order = rng.choice(ORDERS)
+        f = random_poly(rng, order, rng.randrange(0, 8))
+        gb = _random_gb(rng, order, rng.randrange(0, 12))
+        sizes = [len(b.terms) for b in gb.buckets[1:] if b.terms]
+        if route is GbRoute.HYBRID:
+            small = any(s <= threshold for s in sizes)
+            n_lists = sum(s > threshold for s in sizes) + small
+        else:
+            n_lists = len(sizes)
+        with count_ops() as c:
+            h = mul_heap_gb(f, gb, route, hybrid_threshold=threshold)
+        assert h == mul_naive(f, gb.normalize())
+        assert c.heap_peak <= term_count(f) * n_lists
+        multi_list_runs += c.heap_peak > term_count(f)
+    assert multi_list_runs > 0

@@ -201,3 +201,64 @@ def test_min_first_finds_trailing_error_sooner(rng):
         res_min.stats.counters.heap_extractions
         < res_max.stats.counters.heap_extractions
     )
+
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from polycert import ev_add  # noqa: E402
+from polycert.monomial import ev_compare  # noqa: E402
+
+
+def entries_up_to(cert, witness, direction):
+    """Stream entries of the residual at or before `witness` in scan order."""
+    sign = 1 if direction is ScanDirection.MAX_FIRST else -1
+
+    def reached(ev):
+        return sign * ev_compare(cert.order, ev, witness) >= 0
+
+    n = sum(reached(t.degrees) for t in cert.f.terms)
+    for lam, g in cert.pairs:
+        products = (ev_add(a.degrees, b.degrees) for a in lam.terms for b in g.terms)
+        n += sum(reached(ev) for ev in products)
+    return n
+
+
+@pytest.mark.parametrize("direction", list(ScanDirection))
+def test_early_exit_extracts_entries_up_to_witness(rng, direction):
+    for _ in range(60):
+        bad = perturb(rng, random_cert(rng, n_max=5, size=5))
+        res = verify(bad, direction)
+        assert not res.valid
+        expect = entries_up_to(bad, res.witness[0], direction)
+        assert res.stats.counters.heap_extractions == expect
+
+
+term_lists = st.lists(
+    st.tuples(st.tuples(*[st.integers(0, 3)] * 3), st.integers(-3, 3)), max_size=4
+)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@given(pairs=st.lists(st.tuples(term_lists, term_lists), min_size=1, max_size=4),
+       noise=term_lists)
+@settings(max_examples=100, deadline=None)
+def test_verify_and_combine_match_naive(order, pairs, noise):
+    def as_poly(terms):
+        return poly_from_terms(order, [(ev_make(e), c) for e, c in terms])
+
+    vs = VariableSet(("x", "y", "z"))
+    pairs = tuple((as_poly(lam), as_poly(g)) for lam, g in pairs)
+    total = naive_sum(make_cert(vs, order, pairs))
+    cert = make_cert(vs, order, pairs, f=add(total, as_poly(noise)))
+    assert combine(cert) == total
+    residual = add(total, negate(cert.f))
+    naive = verify_naive(cert)
+    assert naive.valid == (not residual.terms)
+    ends = {ScanDirection.MAX_FIRST: 0, ScanDirection.MIN_FIRST: -1}
+    for direction, end in ends.items():
+        res = verify(cert, direction)
+        assert res.valid == naive.valid
+        if residual.terms:
+            lead = residual.terms[end]
+            assert res.witness == (lead.degrees, lead.coeff)
