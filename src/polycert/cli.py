@@ -2,7 +2,8 @@
 
 Subcommands::
 
-    verify   check a certificate file; exit 0 valid, 1 invalid, 2 bad input
+    verify   check a certificate file; exit 0 valid, 1 invalid, 2 bad input,
+             3 internal error (any subcommand)
     mul      multiply two polynomial files (naive or heap engine)
     add      add two polynomial files
     convert  reprint a polynomial, distributed or recursive (dense/sparse)
@@ -17,10 +18,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from . import poly, textio
 from .counters import count_ops
-from .errors import KernelError
+from .errors import FormatError, KernelError
 from .geobucket import Geobucket
 from .heapmul import GbRoute, mul_heap, mul_heap_gb
 from .monomial import MonomialOrder, VariableSet
@@ -28,6 +30,7 @@ from .recursive import RecursionMode, format_recursive, to_recursive
 from .verifier import ScanDirection, verify
 
 _ORDER_NAMES = sorted(o.value for o in MonomialOrder)
+_DIRECTIONS = [d.value for d in ScanDirection]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="verify a cofactor certificate")
     v.add_argument("--cert", required=True)
-    v.add_argument("--direction", default="max", choices=["max", "min"])
+    v.add_argument("--direction", default="max", choices=_DIRECTIONS)
 
     m = sub.add_parser("mul", help="multiply two polynomials")
     poly_flags(m)
@@ -76,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="two polynomial files to multiply (heap engine)")
     s.add_argument("--vars", default=None)
     s.add_argument("--order", default="grlex", choices=_ORDER_NAMES)
-    s.add_argument("--direction", default="max", choices=["max", "min"])
+    s.add_argument("--direction", default="max", choices=_DIRECTIONS)
     s.add_argument("--format", default="text", choices=["text", "csv"])
     s.add_argument("--output", default=None)
     return ap
@@ -84,7 +87,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise FormatError(f"{path}: not UTF-8 at byte {e.start}") from None
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -138,15 +144,16 @@ def main(argv=None) -> int:
     except (KernelError, OSError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
+    except Exception as e:
+        traceback.print_exc()
+        sys.stderr.write(f"internal error: {type(e).__name__}: {e}\n")
+        return 3
 
 
 def _dispatch(args) -> int:
     if args.command == "verify":
         cert = textio.parse_certificate(_read(args.cert))
-        direction = (
-            ScanDirection.MAX_FIRST if args.direction == "max" else ScanDirection.MIN_FIRST
-        )
-        result = verify(cert, direction)
+        result = verify(cert, ScanDirection(args.direction))
         if result.valid:
             sys.stdout.write("valid\n")
             return 0
@@ -179,21 +186,14 @@ def _dispatch(args) -> int:
         if args.target == "distributed":
             _emit(textio.print_poly(p, varset) + "\n", args.output)
         else:
-            mode = (
-                RecursionMode.SPARSE_IN_VARIABLES
-                if args.mode == "sparse"
-                else RecursionMode.DENSE_IN_VARIABLES
-            )
-            _emit(format_recursive(to_recursive(p, varset, mode)) + "\n", args.output)
+            r = to_recursive(p, varset, RecursionMode(args.mode))
+            _emit(format_recursive(r) + "\n", args.output)
         return 0
 
     # stats
     if args.cert is not None:
         cert = textio.parse_certificate(_read(args.cert))
-        direction = (
-            ScanDirection.MAX_FIRST if args.direction == "max" else ScanDirection.MIN_FIRST
-        )
-        result = verify(cert, direction)
+        result = verify(cert, ScanDirection(args.direction))
         n_inputs = 1 + 2 * len(cert.pairs)
         _emit(
             _report("verify", n_inputs, result.stats.counters,

@@ -4,12 +4,14 @@
 Given pairs (a_k, b_k) it yields the terms of sum_k a_k * b_k in scan
 order.  Each term of a_k seeds one stream a_k[i] * b_k whose cursor walks
 b_k's term list, so "the rest of b_k" costs nothing to represent.  One
-binary heap, keyed by the monomial of each stream's next product term,
-holds every stream; it never holds more than one entry per stream, and every
-stream entry is extracted exactly once.  Equal monomials are extracted back
-to back and their coefficients summed, so each yielded term is final and
-the output is built by O(1) appends.  Min-first scans read every b_k from
-its trailing end and invert the comparison.
+binary heap holds every stream, keyed by the summed order keys of the
+factors of the stream's next product term (:meth:`MonomialOrder.key` is
+linear), so no monomial is built before it is yielded.  The heap never holds
+more than one entry per stream, and every stream entry is extracted exactly
+once.  Equal monomials are extracted back to back and their coefficients
+summed, so each yielded term is final and the output is built by O(1)
+appends.  heapq pops the least key: max-first scans negate the keys,
+min-first scans negate nothing and read every b_k from its trailing end.
 
 Every product in the package is a thin consumer of the engine:
 :func:`mul_heap` merges the single pair (f, g) with #f heap entries and
@@ -22,8 +24,9 @@ every pair.
 
 from __future__ import annotations
 
-import heapq
 from enum import Enum
+from heapq import heappop, heappush
+from operator import add
 from typing import Iterable, Iterator
 
 from . import poly
@@ -33,28 +36,10 @@ from .counters import (
     tick_coeff_mul,
     tick_heap_extraction,
 )
-from .errors import OrderMismatchError
+from .errors import DimensionError, OrderMismatchError
 from .geobucket import Geobucket
-from .monomial import ExponentVector, MonomialOrder, ev_add, ev_compare
+from .monomial import ExponentVector, MonomialOrder, OrderKey, ev_add
 from .poly import Coefficient, Polynomial, Term
-
-
-class _HeapKey:
-    """Wraps an exponent vector so heapq pops the extremal monomial first."""
-
-    __slots__ = ("ev", "order", "descending")
-
-    def __init__(self, ev: ExponentVector, order: MonomialOrder, descending: bool):
-        self.ev = ev
-        self.order = order
-        self.descending = descending
-
-    def __eq__(self, other) -> bool:
-        return self.ev.exponents == other.ev.exponents
-
-    def __lt__(self, other) -> bool:
-        c = ev_compare(self.order, self.ev, other.ev)
-        return c > 0 if self.descending else c < 0
 
 
 def merge_products(
@@ -70,43 +55,44 @@ def merge_products(
     consumer that stops early has extracted exactly the entries at or before
     its last term.  Ticks land in the counter scopes open at each step.
     """
-    heappush, heappop = heapq.heappush, heapq.heappop
-    a_terms: list[tuple[Term, ...]] = []
-    b_terms: list[tuple[Term, ...]] = []
-    heap: list[tuple[_HeapKey, tuple[int, int, int]]] = []
+    def scan_keys(terms: tuple[Term, ...]) -> list[tuple[int, ...]]:
+        sign = -1 if descending else 1
+        return [tuple(sign * e for e in order.key(t.degrees)) for t in terms]
+
+    sources = []  # per pair: a_k terms, b_k terms in scan order, their keys
     for a, b in pairs:
         bt = b.terms if descending else b.terms[::-1]
-        if not bt:
-            continue
-        k = len(a_terms)
-        a_terms.append(a.terms)
-        b_terms.append(bt)
-        for i, at in enumerate(a.terms):
-            key = _HeapKey(ev_add(at.degrees, bt[0].degrees), order, descending)
-            heappush(heap, (key, (k, i, 0)))
+        if bt:
+            sources.append((a.terms, bt, scan_keys(a.terms), scan_keys(bt)))
+    if len({len(kt) for _, _, ka, kb in sources for kt in ka + kb}) > 1:
+        raise DimensionError("exponent vectors of mixed lengths")
+    heap = []
+    for k, (_, _, ka, kb) in enumerate(sources):
+        for i, ki in enumerate(ka):
+            heappush(heap, (OrderKey(map(add, ki, kb[0])), k, i, 0))
     # A step pops an entry before it pushes at most that stream's successor,
     # so the heap never outgrows its seeded size: this is its peak.
     record_heap_size(len(heap))
 
-    ev: ExponentVector | None = None  # monomial of the tie group being summed
+    first: tuple[Term, Term] | None = None  # factors of the tie group's first entry
     while heap:
-        key, (k, i, j) = heappop(heap)
+        key, k, i, j = heappop(heap)
         tick_heap_extraction()
-        at, bt = a_terms[k][i], b_terms[k]
+        a_terms, bt, ka, kb = sources[k]
+        at, bj = a_terms[i], bt[j]
         tick_coeff_mul()
-        c = at.coeff * bt[j].coeff
+        c = at.coeff * bj.coeff
         if j + 1 < len(bt):
-            nxt = _HeapKey(ev_add(at.degrees, bt[j + 1].degrees), order, descending)
-            heappush(heap, (nxt, (k, i, j + 1)))
-        if ev is None:
-            ev, coeff = key.ev, c
+            heappush(heap, (OrderKey(map(add, ka[i], kb[j + 1])), k, i, j + 1))
+        if first is None:
+            first, coeff = (at, bj), c
         else:
             tick_coeff_add()
             coeff = coeff + c
-        if not heap or heap[0][0].ev.exponents != ev.exponents:
+        if not heap or heap[0][0] != key:
             if coeff != 0:
-                yield ev, coeff
-            ev = None
+                yield ev_add(first[0].degrees, first[1].degrees), coeff
+            first = None
 
 
 class GbRoute(Enum):

@@ -23,6 +23,24 @@ class MonomialOrder(Enum):
     GRLEX = "grlex"
     GREVLEX = "grevlex"
 
+    def key(self, ev: ExponentVector) -> tuple[int, ...]:
+        """A tuple, linear in the exponents, that sorts as :func:`ev_compare`."""
+        if self is MonomialOrder.LEX:
+            return ev.exponents
+        if self is MonomialOrder.GRLEX:
+            return (ev.total, *ev.exponents)
+        return (ev.total, *(-e for e in reversed(ev.exponents)))  # grevlex
+
+
+class OrderKey(tuple):
+    """A tuple key whose ``<`` (not ``==``) ticks; heapq and sorts order by ``<``."""
+
+    __slots__ = ()
+
+    def __lt__(self, other) -> bool:
+        tick_comparison()
+        return tuple.__lt__(self, other)
+
 
 @dataclass(frozen=True)
 class VariableSet:
@@ -54,7 +72,7 @@ class VariableSet:
         return ev
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExponentVector:
     exponents: tuple[int, ...]
     total: int

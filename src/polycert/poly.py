@@ -5,28 +5,26 @@ order, with no zero coefficients; the empty tuple is zero.  Coefficients are
 exact: Python ints or :class:`fractions.Fraction` (both arbitrary precision,
 and both nontrivial rings, so the degenerate 0=1 ring never arises).
 
-Addition is the classic sorted merge, implemented iteratively; the remaining
-length of both inputs is asserted to shrink each step (the loop variant).
-Every merge step in which both inputs are nonempty costs exactly one
-monomial comparison, so adding disjoint supports of sizes m and n costs at
-most m+n-1 comparisons.
+Addition is the classic sorted merge, implemented iteratively.  Every merge
+step in which both inputs are nonempty costs exactly one monomial
+comparison, so adding disjoint supports of sizes m and n costs at most
+m+n-1 comparisons.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
 from .counters import tick_coeff_add, tick_coeff_mul
-from .errors import EmptyPolynomialError, OrderMismatchError
-from .monomial import ExponentVector, MonomialOrder, ev_add, ev_compare
+from .errors import DimensionError, EmptyPolynomialError, OrderMismatchError
+from .monomial import ExponentVector, MonomialOrder, OrderKey, ev_add, ev_compare
 
 Coefficient = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Term:
     degrees: ExponentVector
     coeff: Coefficient
@@ -58,10 +56,9 @@ def poly_from_terms(
         else:
             combined[key] = (ev, c)
     entries = [(ev, c) for ev, c in combined.values() if c != 0]
-    entries.sort(
-        key=functools.cmp_to_key(lambda s, t: ev_compare(order, s[0], t[0])),
-        reverse=True,
-    )
+    if len({len(ev.exponents) for ev, _ in entries}) > 1:
+        raise DimensionError("exponent vectors of mixed lengths")
+    entries.sort(key=lambda e: OrderKey(order.key(e[0])), reverse=True)
     return Polynomial(order, tuple(Term(ev, c) for ev, c in entries))
 
 
@@ -78,7 +75,6 @@ def add(p: Polynomial, q: Polynomial) -> Polynomial:
     i = j = 0
     out: list[Term] = []
     while i < np_ and j < nq:
-        variant = (np_ - i) + (nq - j)
         c = ev_compare(p.order, pt[i].degrees, qt[j].degrees)
         if c > 0:
             out.append(pt[i])
@@ -93,7 +89,6 @@ def add(p: Polynomial, q: Polynomial) -> Polynomial:
                 out.append(Term(pt[i].degrees, s))
             i += 1
             j += 1
-        assert (np_ - i) + (nq - j) < variant
     out.extend(pt[i:])
     out.extend(qt[j:])
     return Polynomial(p.order, tuple(out))

@@ -119,7 +119,7 @@ def test_criterion_4_johnson_multiplication():
         f = random_poly(rng, order, rng.randrange(0, 33), rational=i % 2 == 0)
         g = random_poly(rng, order, rng.randrange(0, 33), rational=i % 5 == 0)
         with count_ops() as c:
-            h = mul_heap(f, g)  # heap size bound asserted internally
+            h = mul_heap(f, g)  # heap bound: test_heap_peak_bound_on_criterion_4_instances
         if h != mul_naive(f, g) or c.heap_extractions != term_count(f) * term_count(g):
             ok = False
             break

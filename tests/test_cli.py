@@ -1,5 +1,6 @@
 import pytest
 
+import polycert.cli
 from polycert import (
     Certificate,
     MonomialOrder,
@@ -48,6 +49,23 @@ def test_verify_format_error(tmp_path, capsys):
     p.write_text("vars: x\norder: grlex\nN: 1\nf: x\n")
     assert main(["verify", "--cert", str(p)]) == 2
     assert main(["verify", "--cert", str(tmp_path / "missing.cert")]) == 2
+
+
+def test_non_utf8_certificate_is_bad_input(tmp_path, capsys):
+    p = tmp_path / "latin1.cert"
+    p.write_bytes(b"vars: x\norder: grlex\nN: 1\nf: x\xff\n")
+    assert main(["verify", "--cert", str(p)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+
+
+def test_internal_error_is_not_a_verdict(cert_files, capsys, monkeypatch):
+    def crash(*args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(polycert.cli, "verify", crash)
+    good, _ = cert_files
+    assert main(["verify", "--cert", str(good)]) == 3
+    assert "internal error: RuntimeError: boom" in capsys.readouterr().err
 
 
 def test_unknown_flag_usage():

@@ -13,7 +13,8 @@ from polycert import (
     term_count,
     zero,
 )
-from polycert.errors import OrderMismatchError
+from polycert.errors import DimensionError, OrderMismatchError
+from polycert.heapmul import merge_products
 from polycert.monomial import ev_compare
 from polycert.poly import is_well_formed
 
@@ -46,6 +47,15 @@ def test_zero_factor():
 def test_order_mismatch():
     with pytest.raises(OrderMismatchError):
         mul_heap(zero(GRLEX), zero(MonomialOrder.LEX))
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_merge_rejects_mixed_dimensions(order):
+    # two pairs that are each consistent, but of different dimensions
+    one = poly_from_terms(order, [(ev_make((1,)), 1)])
+    two = poly_from_terms(order, [(ev_make((1, 0)), 1)])
+    with pytest.raises(DimensionError):
+        list(merge_products([(one, one), (two, two)], order))
 
 
 def test_mid_merge_cancellation():
@@ -110,7 +120,7 @@ def test_route2_heap_bound(rng):
     f = random_poly(rng, GRLEX, 6, max_exp=20)
     gb = _random_gb(rng, GRLEX, 10)
     nonempty = sum(1 for b in gb.buckets[1:] if b.terms)
-    # the bound is asserted inside the merge itself
+    # the heap bound is checked by test_gb_route_heap_peak_bound
     assert mul_heap_gb(f, gb, GbRoute.PER_BUCKET_STREAMS) == mul_naive(
         f, gb.normalize()
     )

@@ -10,6 +10,8 @@ from conftest import ORDERS
 evs = st.lists(st.integers(min_value=0, max_value=30), min_size=3, max_size=3).map(
     lambda xs: ev_make(tuple(xs))
 )
+# small exponents make equal totals, where the orders differ, common
+small_evs = st.tuples(*[st.integers(min_value=0, max_value=3)] * 3).map(ev_make)
 
 
 def test_ev_make_totals():
@@ -87,6 +89,23 @@ def test_compatible_with_multiplication(order, a, b, k):
 def test_zero_vector_is_minimum(order, a):
     z = ev_make((0, 0, 0))
     assert ev_compare(order, a, z) >= 0
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@given(a=st.one_of(evs, small_evs), b=st.one_of(evs, small_evs))
+@settings(max_examples=200, deadline=None)
+def test_key_orders_as_ev_compare(order, a, b):
+    ka, kb = order.key(a), order.key(b)
+    assert (ka > kb) - (ka < kb) == ev_compare(order, a, b)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@given(a=evs, b=evs)
+@settings(max_examples=200, deadline=None)
+def test_key_is_linear(order, a, b):
+    # the merge heap keys a product term by the sum of its factors' keys
+    summed = tuple(x + y for x, y in zip(order.key(a), order.key(b), strict=True))
+    assert order.key(ev_add(a, b)) == summed
 
 
 @given(chain=st.lists(evs, min_size=1, max_size=8))

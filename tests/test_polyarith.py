@@ -19,7 +19,7 @@ from polycert import (
     term_count,
     zero,
 )
-from polycert.errors import EmptyPolynomialError, OrderMismatchError
+from polycert.errors import DimensionError, EmptyPolynomialError, OrderMismatchError
 from polycert.poly import is_well_formed
 
 from conftest import ORDERS, disjoint_interleaved, random_poly
@@ -43,6 +43,12 @@ def test_from_terms_examples():
     q = up([(1, 2), (2, 1), (1, 1)])
     assert as_map(q) == {(2,): 1, (1,): 3}
     assert [t.degrees.exponents for t in q.terms] == [(2,), (1,)]
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_from_terms_rejects_mixed_dimensions(order):
+    with pytest.raises(DimensionError):
+        poly_from_terms(order, [(ev_make((1,)), 1), (ev_make((1, 2)), 1)])
 
 
 def test_add_examples():

@@ -262,3 +262,60 @@ def test_verify_and_combine_match_naive(order, pairs, noise):
         if residual.terms:
             lead = residual.terms[end]
             assert res.witness == (lead.degrees, lead.coeff)
+
+
+import random  # noqa: E402
+from dataclasses import astuple  # noqa: E402
+
+from polycert import count_ops, mul_heap  # noqa: E402
+
+# Every OpCounters field (comparisons, coeff_adds, coeff_muls,
+# heap_extractions, heap_peak) on fixed seeded inputs.  Sorting and heap
+# merging must count one comparison per monomial `<`, exactly as the
+# three-way ev_compare does, so these figures must not move when the way a
+# kernel reaches the monomial order changes.
+PINNED_COUNTERS = {
+    MonomialOrder.LEX: {
+        "poly_from_terms": (332, 0, 0, 0, 0),
+        "mul_heap": (4380, 384, 812, 812, 28),
+        "verify max": (2840, 233, 437, 437, 31),
+        "verify max invalid": (1050, 69, 133, 133, 31),
+        "verify min": (2915, 233, 437, 437, 31),
+        "verify min invalid": (2182, 165, 306, 306, 31),
+    },
+    MonomialOrder.GRLEX: {
+        "poly_from_terms": (333, 0, 0, 0, 0),
+        "mul_heap": (4540, 384, 812, 812, 28),
+        "verify max": (2839, 233, 437, 437, 31),
+        "verify max invalid": (998, 69, 133, 133, 31),
+        "verify min": (2856, 233, 437, 437, 31),
+        "verify min invalid": (2169, 165, 306, 306, 31),
+    },
+    MonomialOrder.GREVLEX: {
+        "poly_from_terms": (333, 0, 0, 0, 0),
+        "mul_heap": (4532, 384, 812, 812, 28),
+        "verify max": (2875, 233, 437, 437, 31),
+        "verify max invalid": (1000, 69, 133, 133, 31),
+        "verify min": (2880, 233, 437, 437, 31),
+        "verify min invalid": (2175, 165, 306, 306, 31),
+    },
+}
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_counters_pinned(order):
+    rng = random.Random(11)
+    with count_ops() as sort:  # random_poly normalizes through poly_from_terms
+        f = random_poly(rng, order, 30, max_exp=4)
+        g = random_poly(rng, order, 30, max_exp=4)
+        pairs = [(random_poly(rng, order, 8), random_poly(rng, order, 6))
+                 for _ in range(5)]
+    with count_ops() as mul:
+        mul_heap(f, g)
+    cert = make_cert(VariableSet(("x", "y", "z")), order, pairs)
+    bad = perturb(rng, cert)
+    got = {"poly_from_terms": astuple(sort), "mul_heap": astuple(mul)}
+    for d in ScanDirection:
+        got[f"verify {d.value}"] = astuple(verify(cert, d).stats.counters)
+        got[f"verify {d.value} invalid"] = astuple(verify(bad, d).stats.counters)
+    assert got == PINNED_COUNTERS[order]
