@@ -198,3 +198,89 @@ def test_certificate_format_errors(mutate, fragment):
     with pytest.raises(CertificateFormatError) as e:
         parse_certificate(mutate(MINIMAL))
     assert fragment in str(e.value)
+
+
+# -- parse errors and the grammar, pinned ------------------------------------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+
+@pytest.mark.parametrize(
+    "text, position, message",
+    [
+        ("x +", 3, "expected a coefficient or variable"),
+        ("2x", 1, "expected '+' or '-', got 'x'"),
+        ("x + w", 4, "unknown variable 'w'"),
+        ("1/0", 2, "zero denominator"),
+        ("x $ 1", 2, "unexpected character '$'"),
+        ("", 0, "empty polynomial text"),
+        ("x^", 2, "expected a number"),
+        ("x*", 2, "expected a variable"),
+        ("3*4", 2, "expected a variable"),
+        ("(x)", 0, "expected a coefficient or variable"),
+        ("- -x", 2, "expected a coefficient or variable"),
+        ("x^2^3", 3, "expected '+' or '-', got '^'"),
+        # whitespace: positions point at the token, or at the end of the text
+        ("x +  ", 5, "expected a coefficient or variable"),
+        ("1 / 0", 4, "zero denominator"),
+        ("x + 12 7", 7, "expected '+' or '-', got 7"),
+        ("   ", 0, "empty polynomial text"),
+    ],
+)
+def test_parse_error_positions_and_messages(text, position, message):
+    vs = VariableSet(("x", "y"))
+    with pytest.raises(ParseError) as e:
+        parse_poly(text, vs, GRLEX)
+    assert e.value.position == position
+    assert str(e.value) == f"{message} (at position {position})"
+
+
+_SPACE = st.sampled_from(["", "", " ", "  ", "\t", "\n "])
+
+
+@st.composite
+def _grammar_texts(draw):
+    """Polynomial text drawn from the grammar, with the (ev, coeff) pairs it
+    denotes in text order."""
+    names = ("x", "y", "zz")
+    chunks, pairs = [], []
+    for k in range(draw(st.integers(1, 6))):
+        sign = draw(st.sampled_from(["", "+", "-"] if k == 0 else ["+", "-"]))
+        toks = [sign] if sign else []
+        coeff = 1
+        if draw(st.booleans()):
+            coeff = draw(st.integers(0, 10**30))
+            toks.append(str(coeff).zfill(draw(st.integers(1, 3))))
+            if draw(st.booleans()):
+                den = draw(st.integers(1, 10**6))
+                toks += ["/", str(den)]
+                coeff = Fraction(coeff, den)
+            nfactors = draw(st.integers(0, 4))
+        else:
+            nfactors = draw(st.integers(1, 4))
+        exps = [0, 0, 0]
+        for j in range(nfactors):
+            if j or len(toks) > (1 if sign else 0):
+                toks.append("*")
+            i = draw(st.integers(0, 2))
+            toks.append(names[i])
+            if draw(st.booleans()):
+                e = draw(st.integers(0, 12))
+                toks += ["^", str(e)]
+                exps[i] += e
+            else:
+                exps[i] += 1
+        for tok in toks:
+            chunks += [draw(_SPACE), tok]
+        pairs.append((ev_make(tuple(exps)), -coeff if sign == "-" else coeff))
+    chunks.append(draw(_SPACE))
+    return "".join(chunks), pairs
+
+
+@given(drawn=_grammar_texts(), order=st.sampled_from(ORDERS))
+@settings(max_examples=300, deadline=None)
+def test_parse_matches_poly_from_terms(drawn, order):
+    text, pairs = drawn
+    vs = VariableSet(("x", "y", "zz"))
+    assert parse_poly(text, vs, order) == poly_from_terms(order, pairs)
