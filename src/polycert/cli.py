@@ -31,6 +31,7 @@ from .verifier import ScanDirection, verify
 
 _ORDER_NAMES = sorted(o.value for o in MonomialOrder)
 _DIRECTIONS = [d.value for d in ScanDirection]
+_MODES = [m.value for m in RecursionMode]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -70,7 +71,7 @@ def _build_parser() -> argparse.ArgumentParser:
     poly_flags(c)
     c.add_argument("--to", dest="target", default="distributed",
                    choices=["distributed", "recursive"])
-    c.add_argument("--mode", default="sparse", choices=["sparse", "dense"])
+    c.add_argument("--mode", default="sparse", choices=_MODES)
     c.add_argument("inputs", nargs=1)
 
     s = sub.add_parser("stats", help="instrumented run with a counter report")
@@ -112,7 +113,7 @@ def _witness_line(witness, varset) -> str:
     mono = textio.print_poly(
         poly.Polynomial(MonomialOrder.LEX, (poly.Term(ev, 1),)), varset
     )
-    return f"witness: {mono} {coeff}\n"
+    return f"witness: {mono} {textio.format_coeff(coeff)}\n"
 
 
 def _report(command: str, n_inputs: int, counters, peak: int, fmt: str) -> str:

@@ -64,17 +64,18 @@ class Geobucket:
             raise OrderMismatchError(f"{p.order} vs {self.order}")
         if not p.terms:
             return
-        k = self._target_bucket(len(p.terms))
+        self._merge_into(self._target_bucket(len(p.terms)), p)
+
+    def _merge_into(self, k: int, p: Polynomial) -> None:
+        """Merge p into bucket k, cascading up while the result exceeds c**k terms."""
         self._ensure_bucket(k)
-        merged = poly.add(self.buckets[k], p)
-        self.buckets[k] = poly.zero(self.order)
-        # cascade the overflow
-        while len(merged.terms) > self.c**k:
+        p = poly.add(self.buckets[k], p)
+        while len(p.terms) > self.c**k:
+            self.buckets[k] = poly.zero(self.order)
             k += 1
             self._ensure_bucket(k)
-            merged = poly.add(self.buckets[k], merged)
-            self.buckets[k] = poly.zero(self.order)
-        self.buckets[k] = merged
+            p = poly.add(self.buckets[k], p)
+        self.buckets[k] = p
 
     def _top_index(self) -> int:
         for k in range(len(self.buckets) - 1, 0, -1):
@@ -84,30 +85,15 @@ class Geobucket:
 
     def _maintain_largest_bucket(self) -> None:
         # re-merge any bucket whose head is not below the top bucket's head
-        while True:
-            top = self._top_index()
-            if top == 0:
-                return
-            top_head = self.buckets[top].terms[0].degrees
-            moved = False
+        while top := self._top_index():
+            head = self.buckets[top].terms[0].degrees
             for k in range(1, top):
                 bk = self.buckets[k]
-                if not bk.terms:
-                    continue
-                if ev_compare(self.order, bk.terms[0].degrees, top_head) >= 0:
+                if bk.terms and ev_compare(self.order, bk.terms[0].degrees, head) >= 0:
                     self.buckets[k] = poly.zero(self.order)
-                    merged = poly.add(self.buckets[top], bk)
-                    self.buckets[top] = poly.zero(self.order)
-                    kk = top
-                    while len(merged.terms) > self.c**kk:
-                        kk += 1
-                        self._ensure_bucket(kk)
-                        merged = poly.add(self.buckets[kk], merged)
-                        self.buckets[kk] = poly.zero(self.order)
-                    self.buckets[kk] = merged
-                    moved = True
+                    self._merge_into(top, bk)
                     break
-            if not moved:
+            else:
                 return
 
     def leading_term(self) -> Term | None:

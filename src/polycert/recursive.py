@@ -36,6 +36,7 @@ from typing import Optional, Union
 from .errors import DomainError, StructureError
 from .monomial import MonomialOrder, VariableSet, ev_make
 from .poly import Coefficient, Polynomial, poly_from_terms
+from .textio import format_coeff
 
 
 class RecursionMode(Enum):
@@ -98,7 +99,7 @@ def _is_zero(r: RecursivePoly) -> bool:
 def format_recursive(r: RecursivePoly) -> str:
     """Classic nested-list notation, e.g. (z,(2,(y,(2,1),(0,2))),(0,(y,(1,3),(0,4))))."""
     if isinstance(r, Const):
-        return str(r.value)
+        return format_coeff(r.value)
     name = r.var if r.var is not None else "_"
     inner = ",".join(f"({e},{format_recursive(c)})" for e, c in r.pairs)
     return f"({name},{inner})"
@@ -117,10 +118,7 @@ def to_recursive(
             # skip variables with exponent 0 throughout
             while vi < len(varset.names) and all(e[vi] == 0 for e, _ in entries):
                 vi += 1
-            if vi == len(varset.names):
-                assert len(entries) == 1
-                return Const(entries[0][1])
-        elif vi == len(varset.names):
+        if vi == len(varset.names):
             assert len(entries) == 1
             return Const(entries[0][1])
         groups: dict[int, list] = {}

@@ -3,7 +3,7 @@
 Polynomial grammar (explicit '*' between factors; juxtaposition is not
 allowed because multi-character variable names would make it ambiguous)::
 
-    poly   := ['-'] term (('+'|'-') term)*
+    poly   := ['+'|'-'] term (('+'|'-') term)*
     term   := coeff ('*' factor)*  |  factor ('*' factor)*
     factor := var ('^' nat)?
     coeff  := nat | nat '/' nat
@@ -22,6 +22,12 @@ Certificate files are line-oriented UTF-8 with exact section labels::
 Blank lines and lines starting with '#' are ignored.  Long polynomials may
 continue on following lines until the next label.
 
+:func:`parse_poly` reads the text in one left-to-right scan of compiled
+patterns (term head, factor, '*'); every malformed input raises
+:class:`ParseError` with a position.  Coefficients are exact at any length:
+digit strings and integers beyond the interpreter's int-string digit limit
+are converted in pieces, without changing the limit.
+
 Reading term streams: :func:`read_sorted` consumes a strictly decreasing
 stream with exactly n-1 comparisons and O(1) appends, falling back to
 geobucket accumulation the moment a violation is seen; :func:`read_naive`
@@ -35,116 +41,100 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import poly
-from .errors import CertificateFormatError, DomainError, FormatError, ParseError
+from .errors import CertificateFormatError, FormatError, ParseError
 from .geobucket import Geobucket
 from .monomial import ExponentVector, MonomialOrder, VariableSet, ev_compare, ev_make
 from .poly import Coefficient, Polynomial, Term, poly_from_terms
 from .verifier import Certificate
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([+\-*/^()]))")
+# A term is a head (sign, integer, '/' denominator; each optional), then
+# factors joined by '*'.  Each pattern ends past trailing whitespace, so the
+# scan position always sits on a token or at the end of the text.
+_HEAD = re.compile(r"\s*([+-]?)\s*(?:(\d+)\s*(?:(/)\s*(\d*))?)?\s*")
+_FACTOR = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:(\^)\s*(\d*))?\s*")
+_STAR = re.compile(r"\*\s*")
+_TOKEN = re.compile(r"(\d+)|[A-Za-z_][A-Za-z0-9_]*|[+\-*/^()]")
 
 
-def _tokenize(text: str):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start() or not any(m.groups()):
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            at = pos + (len(text[pos:]) - len(stripped))
-            raise ParseError(f"unexpected character {stripped[0]!r}", at)
-        num, name, op = m.groups()
-        if num is not None:
-            out.append(("num", int(num), m.start(1)))
-        elif name is not None:
-            out.append(("name", name, m.start(2)))
-        else:
-            out.append(("op", op, m.start(3)))
-        pos = m.end()
-    return out
+def _int(digits: str) -> int:
+    """int(digits) for a nonempty digit string, exact beyond the int-string
+    digit limit: a string over the limit is read as two halves."""
+    try:
+        return int(digits)
+    except ValueError:
+        half = len(digits) // 2
+        return _int(digits[:half]) * 10 ** (len(digits) - half) + _int(digits[half:])
+
+
+def _str(n: int) -> str:
+    """str(n), exact beyond the int-string digit limit: a number over the
+    limit is printed as two halves."""
+    try:
+        return str(n)
+    except ValueError:
+        if n < 0:
+            return "-" + _str(-n)
+        half = n.bit_length() * 3 // 20  # about half of n's digits
+        high, low = divmod(n, 10**half)
+        return _str(high) + _str(low).zfill(half)
+
+
+def format_coeff(c: Coefficient) -> str:
+    """``str(c)`` for an integer or a fraction, exact at any length."""
+    if c.denominator == 1:
+        return _str(c.numerator)
+    return f"{_str(c.numerator)}/{_str(c.denominator)}"
+
+
+def _error(text: str, at: int, expected: str, got: bool = False) -> ParseError:
+    """The error for the token at ``at`` where ``expected`` was wanted."""
+    tok = _TOKEN.match(text, at)
+    if tok is None and at < len(text):
+        return ParseError(f"unexpected character {text[at]!r}", at)
+    if got:
+        expected += f", got {_str(_int(tok[1])) if tok[1] else repr(tok[0])}"
+    return ParseError(expected, at)
 
 
 def parse_poly(text: str, varset: VariableSet, order: MonomialOrder) -> Polynomial:
-    """Parse a polynomial expression over the given variables."""
-    tokens = _tokenize(text)
-    if not tokens:
+    """Parse a polynomial expression over the given variables in one scan."""
+    if not text.strip():
         raise ParseError("empty polynomial text", 0)
-    n = len(varset)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else ("end", None, len(text))
-
-    def take():
-        nonlocal pos
-        t = peek()
-        pos += 1
-        return t
-
-    def parse_nat() -> int:
-        kind, val, at = take()
-        if kind != "num":
-            raise ParseError("expected a number", at)
-        return val
-
-    def parse_coeff(sign: int) -> Coefficient:
-        val = parse_nat()
-        if peek()[:2] == ("op", "/"):
-            take()
-            at = peek()[2]
-            den = parse_nat()
-            if den == 0:
-                raise ParseError("zero denominator", at)
-            return Fraction(sign * val, den)
-        return sign * val
-
-    def parse_term(sign: int) -> tuple[ExponentVector, Coefficient]:
-        kind, val, at = peek()
-        exps = [0] * n
-        if kind == "num":
-            coeff = parse_coeff(sign)
-        elif kind == "name":
-            coeff = sign
-        else:
-            raise ParseError("expected a coefficient or variable", at)
-        first = kind == "name"
-        while first or peek()[:2] == ("op", "*"):
-            if not first:
-                take()  # '*'
-            first = False
-            kind, name, at = take()
-            if kind != "name":
-                raise ParseError("expected a variable", at)
-            try:
-                idx = varset.index(name)
-            except DomainError:
-                raise ParseError(f"unknown variable {name!r}", at) from None
-            e = 1
-            if peek()[:2] == ("op", "^"):
-                take()
-                e = parse_nat()
-            exps[idx] += e
-        return ev_make(tuple(exps)), coeff
-
+    index = {name: i for i, name in enumerate(varset.names)}
     pairs = []
-    sign = 1
-    if peek()[:2] == ("op", "-"):
-        take()
-        sign = -1
-    elif peek()[:2] == ("op", "+"):
-        take()
-    pairs.append(parse_term(sign))
-    while pos < len(tokens):
-        kind, val, at = take()
-        if (kind, val) == ("op", "+"):
-            sign = 1
-        elif (kind, val) == ("op", "-"):
-            sign = -1
-        else:
-            raise ParseError(f"expected '+' or '-', got {val!r}", at)
-        pairs.append(parse_term(sign))
+    pos = 0
+    while pos < len(text):
+        head = _HEAD.match(text, pos)
+        sign, num, slash, den = head.groups()
+        if pairs and not sign:
+            raise _error(text, pos, "expected '+' or '-'", got=True)
+        coeff: Coefficient = 1 if num is None else _int(num)
+        if slash:
+            if not den:
+                raise _error(text, head.start(4), "expected a number")
+            if not (d := _int(den)):
+                raise ParseError("zero denominator", head.start(4))
+            coeff = Fraction(coeff, d)
+        if sign == "-":
+            coeff = -coeff
+        exps = [0] * len(index)
+        pos = head.end()
+        star = num is not None  # after a coefficient, each factor needs a '*'
+        expected = "expected a coefficient or variable"
+        while not star or (s := _STAR.match(text, pos)):
+            if star:
+                pos, expected = s.end(), "expected a variable"
+            factor = _FACTOR.match(text, pos)
+            if factor is None:
+                raise _error(text, pos, expected)
+            name, caret, e = factor.groups()
+            if name not in index:
+                raise ParseError(f"unknown variable {name!r}", pos)
+            if caret and not e:
+                raise _error(text, factor.start(3), "expected a number")
+            exps[index[name]] += _int(e) if caret else 1
+            pos, star = factor.end(), True
+        pairs.append((ev_make(exps), coeff))
     return poly_from_terms(order, pairs)
 
 
@@ -159,10 +149,7 @@ def print_poly(p: Polynomial, varset: VariableSet) -> str:
         mag = -c if neg else c
         factors = []
         if mag != 1 or t.degrees.total == 0:
-            if isinstance(mag, Fraction) and mag.denominator != 1:
-                factors.append(f"{mag.numerator}/{mag.denominator}")
-            else:
-                factors.append(str(int(mag)))
+            factors.append(format_coeff(mag))
         for name, e in zip(varset.names, t.degrees.exponents):
             if e == 1:
                 factors.append(name)
@@ -223,19 +210,22 @@ _LABEL = re.compile(r"^(vars|order|N|f|lambda\[(\d+)\]|g\[(\d+)\]):\s*(.*)$")
 def parse_certificate(text: str) -> Certificate:
     """Parse a certificate file (see module docstring for the layout)."""
     sections: dict[str, str] = {}
-    current: str | None = None
+    indices: dict[str, int] = {}  # lambda[i] and g[i] labels -> i
+    current: str | None = None  # the polynomial section a line may continue
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         m = _LABEL.match(line)
         if m:
-            label = line.split(":", 1)[0]
+            label, lam_i, g_i, rest = m.groups()
             if label in sections:
                 raise CertificateFormatError(f"duplicate section {label!r}")
-            sections[label] = m.group(4)
-            current = label
-        elif current in ("f",) or (current or "").startswith(("lambda[", "g[")):
+            sections[label] = rest
+            if lam_i or g_i:
+                indices[label] = _int(lam_i or g_i)
+            current = None if label in ("vars", "order", "N") else label
+        elif current:
             sections[current] += " " + line
         else:
             raise CertificateFormatError(f"unlabeled line {lineno}: {raw!r}")
@@ -257,18 +247,13 @@ def parse_certificate(text: str) -> Certificate:
     f = parse_poly(sections["f"], varset, order)
     pairs = []
     for i in range(1, n + 1):
-        for label in (f"lambda[{i}]", f"g[{i}]"):
+        labels = (f"lambda[{i}]", f"g[{i}]")
+        for label in labels:
             if label not in sections:
                 raise CertificateFormatError(f"missing section {label!r}")
-        pairs.append(
-            (
-                parse_poly(sections[f"lambda[{i}]"], varset, order),
-                parse_poly(sections[f"g[{i}]"], varset, order),
-            )
-        )
-    for label in sections:
-        m = re.match(r"(?:lambda|g)\[(\d+)\]$", label)
-        if m and not 1 <= int(m.group(1)) <= n:
+        pairs.append(tuple(parse_poly(sections[lb], varset, order) for lb in labels))
+    for label, i in indices.items():
+        if not 1 <= i <= n:
             raise CertificateFormatError(f"section {label!r} outside 1..{n}")
     return Certificate(varset, order, f, tuple(pairs))
 

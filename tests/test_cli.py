@@ -147,3 +147,42 @@ def test_stats_mul_text(poly_files, capsys):
 
 def test_stats_requires_input(capsys):
     assert main(["stats"]) == 2
+
+
+@pytest.mark.parametrize("direction", ["max", "min"])
+def test_verify_5000_digit_coefficient(tmp_path, capsys, direction):
+    import sys
+
+    limit = sys.get_int_max_str_digits()
+    big = "1" + "0" * 4990 + "123456789"  # 10**4999 + 123456789
+    lam = parse_poly(f"{big}*x + 1", XY, GRLEX)
+    g = parse_poly("x - 1", XY, GRLEX)
+    cert = format_certificate(Certificate(XY, GRLEX, mul_naive(lam, g), ((lam, g),)))
+    f_line = f"f: {big}*x^2 - {big[:-1]}8*x - 1"  # (1 - big) = -(big - 1)
+    assert f_line in cert
+    good = tmp_path / "big.cert"
+    good.write_text(cert)
+    assert main(["verify", "--direction", direction, "--cert", str(good)]) == 0
+    assert capsys.readouterr().out == "valid\n"
+    # corrupt the leading digit of f's x^2 coefficient: the residual there
+    # is (10**4999 + 123456789) - (2*10**4999 + 123456789) = -10**4999
+    bad = tmp_path / "big_corrupted.cert"
+    bad.write_text(cert.replace(f_line, "f: 2" + f_line[4:]))
+    assert main(["verify", "--direction", direction, "--cert", str(bad)]) == 1
+    assert capsys.readouterr().out == f"invalid\nwitness: x^2 -1{'0' * 4999}\n"
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_convert_modes_and_long_coefficient(tmp_path, capsys):
+    big = "1" + "0" * 4990 + "123456789"
+    p = tmp_path / "big.poly"
+    p.write_text(f"{big}*x + 1\n")
+    expected = {
+        "sparse": f"(x,(1,{big}),(0,1))",
+        "dense": f"(x,(1,(y,(0,{big}))),(0,(y,(0,1))))",
+    }
+    for mode, out in expected.items():
+        argv = ["convert", "--vars", "x,y", "--to", "recursive", "--mode", mode, str(p)]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == out + "\n"
+    assert main(["convert", "--vars", "x,y", "--mode", "packed", str(p)]) == 2

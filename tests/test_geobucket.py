@@ -167,3 +167,29 @@ def test_amortized_win_over_left_fold(rng):
         ratios.append(fold_c.comparisons / gb_c.comparisons)
     assert all(r > 1 for r in ratios[2:])  # strict win from n=64 on
     assert ratios[-1] > ratios[0]  # quadratic vs n log n trend
+
+
+@pytest.mark.parametrize(
+    "strategy, c, sizes, comparisons, coeff_adds",
+    [
+        (LcStrategy.SCAN_ALL, 2, [2, 4, 6, 0, 0, 0, 77, 150], 2292, 126),
+        (LcStrategy.SCAN_ALL, 4, [2, 6, 45, 161], 2415, 145),
+        (LcStrategy.LARGEST_BUCKET, 2, [2, 0, 6, 0, 27, 0, 0, 165], 2578, 157),
+        (LcStrategy.LARGEST_BUCKET, 4, [2, 6, 21, 167], 2529, 159),
+    ],
+)
+def test_cascade_layout_and_counts_pinned(strategy, c, sizes, comparisons, coeff_adds):
+    # Bucket sizes and counters after seeded adds with extractions between
+    # them; recorded before the two overflow cascades became one method.
+    import random
+
+    rng = random.Random(11)
+    gb = gb_new(GRLEX, c, strategy)
+    with count_ops() as ops:
+        for k in range(60):
+            gb.add(random_poly(rng, GRLEX, rng.randrange(1, 12), nvars=2, max_exp=15))
+            if k % 7 == 6:
+                gb.extract_leading()
+    assert [len(b.terms) for b in gb.buckets[1:]] == sizes
+    assert (ops.comparisons, ops.coeff_adds) == (comparisons, coeff_adds)
+    assert gb.check_invariants()

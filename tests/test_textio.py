@@ -284,3 +284,71 @@ def test_parse_matches_poly_from_terms(drawn, order):
     text, pairs = drawn
     vs = VariableSet(("x", "y", "zz"))
     assert parse_poly(text, vs, order) == poly_from_terms(order, pairs)
+
+
+# -- coefficients beyond the int-string digit limit ---------------------------
+
+import random  # noqa: E402
+import sys  # noqa: E402
+
+from polycert import textio  # noqa: E402
+
+BIG = 10**4999 + 123456789  # 5000 digits, built without str()
+BIG_TEXT = "1" + "0" * 4990 + "123456789"
+BIG_DEN = 10**4999 + 7  # coprime to BIG
+BIG_DEN_TEXT = "1" + "0" * 4998 + "7"
+
+
+def test_5000_digit_integer_coefficient_round_trips():
+    limit = sys.get_int_max_str_digits()
+    vs = VariableSet(("x", "y"))
+    text = f"{BIG_TEXT}*x^2 - {BIG_TEXT}*y + 1"
+    p = parse_poly(text, vs, GRLEX)
+    assert [t.coeff for t in p.terms] == [BIG, -BIG, 1]
+    assert print_poly(p, vs) == text
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_5000_digit_fraction_coefficient_round_trips():
+    limit = sys.get_int_max_str_digits()
+    vs = VariableSet(("x",))
+    text = f"-{BIG_TEXT}/{BIG_DEN_TEXT}*x + {BIG_DEN_TEXT}/{BIG_TEXT}"
+    p = parse_poly(text, vs, GRLEX)
+    assert [t.coeff for t in p.terms] == [Fraction(-BIG, BIG_DEN), Fraction(BIG_DEN, BIG)]
+    assert print_poly(p, vs) == text
+    assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.fixture
+def set_digit_limit():
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize("limit", [640, 1000])
+def test_pieces_agree_with_plain_conversion(set_digit_limit, limit):
+    # Texts are made under the default limit, then read and printed under a
+    # lower one, so that plain int()/str() checks the piecewise conversions.
+    vs = VariableSet(("x",))
+    rng = random.Random(limit)
+    cases = []
+    for ndigits in (limit - 1, limit, limit + 1, 2 * limit, 3 * limit + 7, 4300):
+        for n in (10 ** (ndigits - 1), 10**ndigits - 1, 10 ** (ndigits - 1) + 7,
+                  rng.randrange(10 ** (ndigits - 1), 10**ndigits)):
+            cases.append((n, f"{n}*x - 1/{n}", "0" * 7 + str(n)))
+    set_digit_limit(limit)
+    for n, text, padded in cases:
+        p = parse_poly(text, vs, GRLEX)
+        assert [t.coeff for t in p.terms] == [n, Fraction(-1, n)]
+        assert print_poly(p, vs) == text
+        assert parse_poly(padded, vs, GRLEX).terms[0].coeff == n
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_unlimited_digits(set_digit_limit):
+    set_digit_limit(0)
+    vs = VariableSet(("x",))
+    text = BIG_TEXT + "*x - 1/" + BIG_TEXT
+    assert print_poly(parse_poly(text, vs, GRLEX), vs) == text
+    assert sys.get_int_max_str_digits() == 0
