@@ -1,17 +1,19 @@
 """Heap-merged sparse multiplication: one stream-merge engine.
 
 :func:`merge_products` is Johnson's (1974) merge of unevaluated products.
-Given pairs (a_k, b_k) it yields the terms of sum_k a_k * b_k in scan
-order.  Each term of a_k seeds one stream a_k[i] * b_k whose cursor walks
-b_k's term list, so "the rest of b_k" costs nothing to represent.  One
-binary heap holds every stream, keyed by the summed order keys of the
-factors of the stream's next product term (:meth:`MonomialOrder.key` is
-linear), so no monomial is built before it is yielded.  The heap never holds
-more than one entry per stream, and every stream entry is extracted exactly
-once.  Equal monomials are extracted back to back and their coefficients
-summed, so each yielded term is final and the output is built by O(1)
-appends.  heapq pops the least key: max-first scans negate the keys,
-min-first scans negate nothing and read every b_k from its trailing end.
+Given pairs (a_k, b_k) it yields the terms of sum_k a_k * b_k in scan order.
+Each term of a_k seeds one stream a_k[i] * b_k whose cursor walks b_k's term
+list, so "the rest of b_k" costs nothing to represent.  One binary heap
+holds every stream, keyed by the sum of the packed keys (:func:`key_packer`)
+of the factors of its next product term, so no monomial is built before it
+is yielded.  Outside a counter scope the keys are plain ints that heapq
+compares in C; inside one, counting keys with the same order and ties make
+and tick the same comparisons.  The heap never holds more than one entry per
+stream, and every stream entry is extracted exactly once.  Equal monomials
+are extracted back to back and their coefficients summed, so each yielded
+term is final and the output is built by O(1) appends.  heapq pops the least
+key: max-first scans negate the keys, min-first scans negate nothing and
+read every b_k from its trailing end.
 
 Every product in the package is a thin consumer of the engine:
 :func:`mul_heap` merges the single pair (f, g) with #f heap entries and
@@ -26,19 +28,19 @@ from __future__ import annotations
 
 from enum import Enum
 from heapq import heappop, heappush
-from operator import add
 from typing import Iterable, Iterator
 
 from . import poly
 from .counters import (
+    key_factory,
     record_heap_size,
     tick_coeff_add,
     tick_coeff_mul,
     tick_heap_extraction,
 )
-from .errors import DimensionError, OrderMismatchError
+from .errors import OrderMismatchError
 from .geobucket import Geobucket
-from .monomial import ExponentVector, MonomialOrder, OrderKey, ev_add
+from .monomial import ExponentVector, MonomialOrder, ev_add, key_packer
 from .poly import Coefficient, Polynomial, Term
 
 
@@ -55,21 +57,19 @@ def merge_products(
     consumer that stops early has extracted exactly the entries at or before
     its last term.  Ticks land in the counter scopes open at each step.
     """
-    def scan_keys(terms: tuple[Term, ...]) -> list[tuple[int, ...]]:
-        sign = -1 if descending else 1
-        return [tuple(sign * e for e in order.key(t.degrees)) for t in terms]
-
     sources = []  # per pair: a_k terms, b_k terms in scan order, their keys
     for a, b in pairs:
         bt = b.terms if descending else b.terms[::-1]
         if bt:
-            sources.append((a.terms, bt, scan_keys(a.terms), scan_keys(bt)))
-    if len({len(kt) for _, _, ka, kb in sources for kt in ka + kb}) > 1:
-        raise DimensionError("exponent vectors of mixed lengths")
+            sources.append([a.terms, bt])
+    pack = key_packer(order, [t.degrees for s in sources for ts in s for t in ts], 2)
+    sign, wrap = -1 if descending else 1, key_factory()
+    for s in sources:
+        s += [[sign * pack(t.degrees) for t in ts] for ts in s]
     heap = []
     for k, (_, _, ka, kb) in enumerate(sources):
         for i, ki in enumerate(ka):
-            heappush(heap, (OrderKey(map(add, ki, kb[0])), k, i, 0))
+            heappush(heap, (wrap(ki + kb[0]), k, i, 0))
     # A step pops an entry before it pushes at most that stream's successor,
     # so the heap never outgrows its seeded size: this is its peak.
     record_heap_size(len(heap))
@@ -83,7 +83,7 @@ def merge_products(
         tick_coeff_mul()
         c = at.coeff * bj.coeff
         if j + 1 < len(bt):
-            heappush(heap, (OrderKey(map(add, ka[i], kb[j + 1])), k, i, j + 1))
+            heappush(heap, (wrap(ka[i] + kb[j + 1]), k, i, j + 1))
         if first is None:
             first, coeff = (at, bj), c
         else:
@@ -92,6 +92,9 @@ def merge_products(
         if not heap or heap[0][0] != key:
             if coeff != 0:
                 yield ev_add(first[0].degrees, first[1].degrees), coeff
+                if key_factory() is not wrap:  # resumed with scopes opened or closed
+                    wrap = key_factory()
+                    heap = [(wrap(e[0]), *e[1:]) for e in heap]
             first = None
 
 

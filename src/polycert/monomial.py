@@ -5,14 +5,17 @@ names are more significant (the "main" variable comes first).  Exponent
 vectors cache their total degree so that total-degree orders can compare
 totals in O(1) before falling back to a positional scan.
 
-Exponents and totals are plain Python ints, so arbitrarily large degrees
-(x^1000000000 and friends) are fine.
+:meth:`MonomialOrder.key` writes each order as a tuple linear in the
+exponents; :func:`key_packer` packs it into one int per monomial, wrapped
+in a counting key only inside a counter scope.  Exponents, totals and keys
+are plain ints, so any degree (x^1000000000 and friends) is fine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import add
 
 from .counters import tick_comparison
 from .errors import DimensionError, DomainError
@@ -32,14 +35,23 @@ class MonomialOrder(Enum):
         return (ev.total, *(-e for e in reversed(ev.exponents)))  # grevlex
 
 
-class OrderKey(tuple):
-    """A tuple key whose ``<`` (not ``==``) ticks; heapq and sorts order by ``<``."""
+def key_packer(order: MonomialOrder, evs: list[ExponentVector], summands: int = 1):
+    """Pack :meth:`MonomialOrder.key` of any of `evs` into one int, in base
+    B = 2^s above any digit of a sum of `summands` keys (no digit exceeds a
+    total).  A key's digits after the first share one sign, so lower digits
+    never outweigh a higher one: int ``<`` orders as the order, and int ``+``
+    of packed keys packs the monomial product."""
+    if len({len(ev.exponents) for ev in evs}) > 1:
+        raise DimensionError("exponent vectors of mixed lengths")
+    shift = (summands * max((ev.total for ev in evs), default=0)).bit_length()
 
-    __slots__ = ()
+    def pack(ev: ExponentVector) -> int:
+        k = 0
+        for digit in order.key(ev):
+            k = (k << shift) + digit
+        return k
 
-    def __lt__(self, other) -> bool:
-        tick_comparison()
-        return tuple.__lt__(self, other)
+    return pack
 
 
 @dataclass(frozen=True)
@@ -96,10 +108,7 @@ def ev_add(a: ExponentVector, b: ExponentVector) -> ExponentVector:
         raise DimensionError(
             f"dimension mismatch: {len(a.exponents)} vs {len(b.exponents)}"
         )
-    return ExponentVector(
-        tuple(x + y for x, y in zip(a.exponents, b.exponents)),
-        a.total + b.total,
-    )
+    return ExponentVector(tuple(map(add, a.exponents, b.exponents)), a.total + b.total)
 
 
 def ev_compare(order: MonomialOrder, a: ExponentVector, b: ExponentVector) -> int:

@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .counters import tick_coeff_add, tick_coeff_mul
-from .errors import DimensionError, EmptyPolynomialError, OrderMismatchError
-from .monomial import ExponentVector, MonomialOrder, OrderKey, ev_add, ev_compare
+from .counters import key_factory, tick_coeff_add, tick_coeff_mul
+from .errors import EmptyPolynomialError, OrderMismatchError
+from .monomial import ExponentVector, MonomialOrder, ev_add, ev_compare, key_packer
 
 Coefficient = Union[int, Fraction]
 
@@ -50,15 +50,11 @@ def poly_from_terms(
     """Normalize an unsorted term sequence: sort, combine duplicates, drop zeros."""
     combined: dict[tuple[int, ...], tuple[ExponentVector, Coefficient]] = {}
     for ev, c in pairs:
-        key = ev.exponents
-        if key in combined:
-            combined[key] = (ev, combined[key][1] + c)
-        else:
-            combined[key] = (ev, c)
+        old = combined.get(ev.exponents)
+        combined[ev.exponents] = (ev, c if old is None else old[1] + c)
     entries = [(ev, c) for ev, c in combined.values() if c != 0]
-    if len({len(ev.exponents) for ev, _ in entries}) > 1:
-        raise DimensionError("exponent vectors of mixed lengths")
-    entries.sort(key=lambda e: OrderKey(order.key(e[0])), reverse=True)
+    pack, wrap = key_packer(order, [ev for ev, _ in entries]), key_factory()
+    entries.sort(key=lambda e: wrap(pack(e[0])), reverse=True)
     return Polynomial(order, tuple(Term(ev, c) for ev, c in entries))
 
 

@@ -101,7 +101,7 @@ def format_recursive(r: RecursivePoly) -> str:
     if isinstance(r, Const):
         return format_coeff(r.value)
     name = r.var if r.var is not None else "_"
-    inner = ",".join(f"({e},{format_recursive(c)})" for e, c in r.pairs)
+    inner = ",".join(f"({format_coeff(e)},{format_recursive(c)})" for e, c in r.pairs)
     return f"({name},{inner})"
 
 

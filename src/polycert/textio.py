@@ -154,7 +154,7 @@ def print_poly(p: Polynomial, varset: VariableSet) -> str:
             if e == 1:
                 factors.append(name)
             elif e > 1:
-                factors.append(f"{name}^{e}")
+                factors.append(f"{name}^{_str(e)}")
         mono = "*".join(factors)
         if k == 0:
             chunks.append(f"-{mono}" if neg else mono)

@@ -186,3 +186,35 @@ def test_convert_modes_and_long_coefficient(tmp_path, capsys):
         assert main(argv) == 0
         assert capsys.readouterr().out == out + "\n"
     assert main(["convert", "--vars", "x,y", "--mode", "packed", str(p)]) == 2
+
+
+@pytest.mark.parametrize("direction", ["max", "min"])
+def test_mul_and_witness_with_5000_digit_exponent(tmp_path, capsys, direction):
+    import sys
+
+    limit = sys.get_int_max_str_digits()
+    e = "1" + "0" * 4990 + "123456789"  # 10**4999 + 123456789
+    e1 = e[:-2] + "90"  # e + 1
+    a, b = tmp_path / "a.poly", tmp_path / "b.poly"
+    a.write_text(f"x^{e} + 1\n")
+    b.write_text("x - 1\n")
+    assert main(["mul", "--vars", "x,y", str(a), str(b)]) == 0
+    assert capsys.readouterr().out == f"x^{e1} - x^{e} + x - 1\n"
+    # lambda = x^e, g = x + 1, and f's x^e coefficient is 2 instead of 1
+    lam = parse_poly(f"x^{e}", XY, GRLEX)
+    g = parse_poly("x + 1", XY, GRLEX)
+    f = parse_poly(f"x^{e1} + 2*x^{e}", XY, GRLEX)
+    bad = tmp_path / "exponent.cert"
+    bad.write_text(format_certificate(Certificate(XY, GRLEX, f, ((lam, g),))))
+    assert main(["verify", "--direction", direction, "--cert", str(bad)]) == 1
+    assert capsys.readouterr().out == f"invalid\nwitness: x^{e} -1\n"
+    assert sys.get_int_max_str_digits() == limit
+
+
+def test_convert_5000_digit_exponent(tmp_path, capsys):
+    e = "1" + "0" * 4990 + "123456789"
+    p = tmp_path / "tall.poly"
+    p.write_text(f"x^{e} + 1\n")
+    argv = ["convert", "--vars", "x,y", "--to", "recursive", "--mode", "sparse", str(p)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"(x,({e},1),(0,1))\n"

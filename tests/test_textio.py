@@ -352,3 +352,16 @@ def test_unlimited_digits(set_digit_limit):
     text = BIG_TEXT + "*x - 1/" + BIG_TEXT
     assert print_poly(parse_poly(text, vs, GRLEX), vs) == text
     assert sys.get_int_max_str_digits() == 0
+
+
+def test_5000_digit_exponent_round_trips():
+    limit = sys.get_int_max_str_digits()
+    vs = VariableSet(("x", "y"))
+    digits = "1" + "0" * 4990 + "123456789"  # 10**4999 + 123456789
+    text = f"x^{digits}*y - 3*x^{digits} + y^2"
+    p = parse_poly(text, vs, GRLEX)
+    e = 10**4999 + 123456789
+    assert [t.degrees.exponents for t in p.terms] == [(e, 1), (e, 0), (0, 2)]
+    assert print_poly(p, vs) == text
+    assert parse_poly(print_poly(p, vs), vs, GRLEX) == p
+    assert sys.get_int_max_str_digits() == limit
