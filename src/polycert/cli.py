@@ -102,10 +102,10 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load_poly(path: str, args):
+def _load_polys(paths: list[str], args):
     varset = VariableSet(tuple(v for v in args.vars.split(",") if v))
     order = MonomialOrder(args.order)
-    return textio.parse_poly(_read(path), varset, order), varset, order
+    return [textio.parse_poly(_read(p), varset, order) for p in paths], varset, order
 
 
 def _witness_line(witness, varset) -> str:
@@ -163,8 +163,7 @@ def _dispatch(args) -> int:
         return 1
 
     if args.command == "mul":
-        p, varset, order = _load_poly(args.inputs[0], args)
-        q = textio.parse_poly(_read(args.inputs[1]), varset, order)
+        (p, q), varset, order = _load_polys(args.inputs, args)
         if args.engine == "naive":
             prod = poly.mul_naive(p, q)
         elif args.geobucket:
@@ -177,13 +176,12 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "add":
-        p, varset, order = _load_poly(args.inputs[0], args)
-        q = textio.parse_poly(_read(args.inputs[1]), varset, order)
+        (p, q), varset, _ = _load_polys(args.inputs, args)
         _emit(textio.print_poly(poly.add(p, q), varset) + "\n", args.output)
         return 0
 
     if args.command == "convert":
-        p, varset, order = _load_poly(args.inputs[0], args)
+        (p,), varset, _ = _load_polys(args.inputs, args)
         if args.target == "distributed":
             _emit(textio.print_poly(p, varset) + "\n", args.output)
         else:
@@ -206,8 +204,7 @@ def _dispatch(args) -> int:
         if not args.vars:
             sys.stderr.write("error: stats --mul requires --vars\n")
             return 2
-        p, varset, order = _load_poly(args.mul[0], args)
-        q = textio.parse_poly(_read(args.mul[1]), varset, order)
+        (p, q), _, _ = _load_polys(args.mul, args)
         with count_ops() as counters:
             prod = mul_heap(p, q)
         peak = len(p.terms) + len(q.terms) + len(prod.terms)

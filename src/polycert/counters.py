@@ -1,11 +1,17 @@
 """Scoped operation counters.
 
-Callers open an instrumentation scope with :func:`count_ops`; every kernel
-operation executed inside the scope accumulates monomial comparisons,
-coefficient additions/multiplications and heap extractions into it, and
-records the largest merge heap it saw.  Scopes nest: an increment lands in
-every currently open scope, so an outer scope sees the totals (and the peak)
-of everything run inside it.
+Callers open an instrumentation scope with :func:`count_ops`; kernel work run
+inside it adds monomial comparisons, coefficient additions/multiplications
+and heap extractions to it, and raises the largest merge heap it saw.
+Scopes nest: a count lands in every currently open scope, so an outer scope
+sees the totals (and the peak) of everything run inside it.
+
+A comparison ticks where it is made (:class:`CountingKey` ``<``,
+``ev_compare``), since heapq and sorts make it in C.  Every other count is
+kept in local ints by its kernel and handed over by :func:`tally`: a merge
+right before each term it yields and once at its end, any other kernel once.
+Scopes open or close only between a merge's yields, so each count lands in
+the scopes open while its work was done.
 
 Open scopes live in a :class:`contextvars.ContextVar`, private to each
 thread and asyncio task.  With none open, :func:`key_factory` leaves packed
@@ -57,27 +63,18 @@ def key_factory() -> type[int]:
     return CountingKey if _scopes.get() else int
 
 
-def tick_comparison(n: int = 1) -> None:
+def tick_comparison() -> None:
     for c in _scopes.get():
-        c.comparisons += n
+        c.comparisons += 1
 
 
-def tick_coeff_add(n: int = 1) -> None:
+def tally(
+    coeff_adds: int = 0, coeff_muls: int = 0, extractions: int = 0, heap: int = 0
+) -> None:
+    """Add locally kept counts to every open scope; `heap` raises heap_peak."""
     for c in _scopes.get():
-        c.coeff_adds += n
-
-
-def tick_coeff_mul(n: int = 1) -> None:
-    for c in _scopes.get():
-        c.coeff_muls += n
-
-
-def tick_heap_extraction(n: int = 1) -> None:
-    for c in _scopes.get():
-        c.heap_extractions += n
-
-
-def record_heap_size(n: int) -> None:
-    for c in _scopes.get():
-        if n > c.heap_peak:
-            c.heap_peak = n
+        c.coeff_adds += coeff_adds
+        c.coeff_muls += coeff_muls
+        c.heap_extractions += extractions
+        if heap > c.heap_peak:
+            c.heap_peak = heap

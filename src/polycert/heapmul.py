@@ -8,12 +8,14 @@ holds every stream, keyed by the sum of the packed keys (:func:`key_packer`)
 of the factors of its next product term, so no monomial is built before it
 is yielded.  Outside a counter scope the keys are plain ints that heapq
 compares in C; inside one, counting keys with the same order and ties make
-and tick the same comparisons.  The heap never holds more than one entry per
-stream, and every stream entry is extracted exactly once.  Equal monomials
-are extracted back to back and their coefficients summed, so each yielded
-term is final and the output is built by O(1) appends.  heapq pops the least
-key: max-first scans negate the keys, min-first scans negate nothing and
-read every b_k from its trailing end.
+and tick the same comparisons.  Every other count (extractions, products,
+sums) is kept in local ints and tallied right before each yielded term and
+once at the end.  The heap never holds more than one entry per stream, and
+every stream entry is extracted exactly once.  Equal monomials are extracted
+back to back and their coefficients summed, so each yielded term is final
+and the output is built by O(1) appends.  heapq pops the least key:
+max-first scans negate the keys, min-first scans negate nothing and read
+every b_k from its trailing end.
 
 Every product in the package is a thin consumer of the engine:
 :func:`mul_heap` merges the single pair (f, g) with #f heap entries and
@@ -31,13 +33,7 @@ from heapq import heappop, heappush
 from typing import Iterable, Iterator
 
 from . import poly
-from .counters import (
-    key_factory,
-    record_heap_size,
-    tick_coeff_add,
-    tick_coeff_mul,
-    tick_heap_extraction,
-)
+from .counters import key_factory, tally
 from .errors import OrderMismatchError
 from .geobucket import Geobucket
 from .monomial import ExponentVector, MonomialOrder, ev_add, key_packer
@@ -55,7 +51,8 @@ def merge_products(
     first.  Each yielded term sums every stream entry at its monomial, and
     nothing past it is extracted until the next term is requested, so a
     consumer that stops early has extracted exactly the entries at or before
-    its last term.  Ticks land in the counter scopes open at each step.
+    its last term.  Counts are tallied right before each yield and once at
+    the end, so they land in the scopes open while their work was done.
     """
     sources = []  # per pair: a_k terms, b_k terms in scan order, their keys
     for a, b in pairs:
@@ -71,31 +68,34 @@ def merge_products(
         for i, ki in enumerate(ka):
             heappush(heap, (wrap(ki + kb[0]), k, i, 0))
     # A step pops an entry before it pushes at most that stream's successor,
-    # so the heap never outgrows its seeded size: this is its peak.
-    record_heap_size(len(heap))
+    # so the heap never outgrows its seeded size: the peak, which the first
+    # tally reports.  Each pop is one product.
+    peak, pops, adds = len(heap), 0, 0
 
     first: tuple[Term, Term] | None = None  # factors of the tie group's first entry
     while heap:
         key, k, i, j = heappop(heap)
-        tick_heap_extraction()
+        pops += 1
         a_terms, bt, ka, kb = sources[k]
         at, bj = a_terms[i], bt[j]
-        tick_coeff_mul()
         c = at.coeff * bj.coeff
         if j + 1 < len(bt):
             heappush(heap, (wrap(ka[i] + kb[j + 1]), k, i, j + 1))
         if first is None:
             first, coeff = (at, bj), c
         else:
-            tick_coeff_add()
+            adds += 1
             coeff = coeff + c
         if not heap or heap[0][0] != key:
             if coeff != 0:
+                tally(adds, pops, pops, peak)
+                peak = pops = adds = 0
                 yield ev_add(first[0].degrees, first[1].degrees), coeff
                 if key_factory() is not wrap:  # resumed with scopes opened or closed
                     wrap = key_factory()
                     heap = [(wrap(e[0]), *e[1:]) for e in heap]
             first = None
+    tally(adds, pops, pops, peak)
 
 
 class GbRoute(Enum):

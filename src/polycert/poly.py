@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .counters import key_factory, tick_coeff_add, tick_coeff_mul
+from .counters import key_factory, tally
 from .errors import EmptyPolynomialError, OrderMismatchError
 from .monomial import ExponentVector, MonomialOrder, ev_add, ev_compare, key_packer
 
@@ -68,7 +68,7 @@ def add(p: Polynomial, q: Polynomial) -> Polynomial:
     _check_orders(p, q)
     pt, qt = p.terms, q.terms
     np_, nq = len(pt), len(qt)
-    i = j = 0
+    i = j = adds = 0
     out: list[Term] = []
     while i < np_ and j < nq:
         c = ev_compare(p.order, pt[i].degrees, qt[j].degrees)
@@ -80,13 +80,14 @@ def add(p: Polynomial, q: Polynomial) -> Polynomial:
             j += 1
         else:
             s = pt[i].coeff + qt[j].coeff
-            tick_coeff_add()
+            adds += 1
             if s != 0:
                 out.append(Term(pt[i].degrees, s))
             i += 1
             j += 1
     out.extend(pt[i:])
     out.extend(qt[j:])
+    tally(coeff_adds=adds)
     return Polynomial(p.order, tuple(out))
 
 
@@ -97,9 +98,9 @@ def negate(p: Polynomial) -> Polynomial:
 def scale(c: Coefficient, p: Polynomial) -> Polynomial:
     if c == 0:
         return zero(p.order)
+    tally(coeff_muls=len(p.terms))
     terms = []
     for t in p.terms:
-        tick_coeff_mul()
         prod = c * t.coeff
         if prod != 0:
             terms.append(Term(t.degrees, prod))
@@ -108,9 +109,9 @@ def scale(c: Coefficient, p: Polynomial) -> Polynomial:
 
 def term_mul(t: Term, p: Polynomial) -> Polynomial:
     """Multiply p by a single term (scale and shift); preserves sortedness."""
+    tally(coeff_muls=len(p.terms))
     terms = []
     for s in p.terms:
-        tick_coeff_mul()
         prod = t.coeff * s.coeff
         if prod != 0:
             terms.append(Term(ev_add(t.degrees, s.degrees), prod))

@@ -23,7 +23,7 @@ from typing import Optional
 from . import poly
 from .counters import OpCounters, count_ops
 from .errors import CertificateFormatError
-from .heapmul import merge_products
+from .heapmul import _collect, merge_products
 from .monomial import ExponentVector, MonomialOrder, VariableSet, ev_make
 from .poly import Coefficient, Polynomial, Term
 
@@ -64,6 +64,9 @@ def check_certificate(cert: Certificate) -> None:
         for t in p.terms:
             if len(t.degrees.exponents) != n:
                 raise CertificateFormatError("mixed dimensions in certificate")
+        keys = [cert.order.key(t.degrees) for t in p.terms]  # tuple `<` ticks nothing
+        if any(a <= b for a, b in zip(keys, keys[1:])):
+            raise CertificateFormatError("certificate terms not strictly decreasing")
 
 
 def verify(
@@ -87,9 +90,7 @@ def verify(
 def combine(cert: Certificate) -> Polynomial:
     """Materialize sum lambda_i f_i term by term, greatest monomial first."""
     check_certificate(cert)
-    pairs = [(f_i, lam_i) for lam_i, f_i in cert.pairs]
-    terms = merge_products(pairs, cert.order)
-    return Polynomial(cert.order, tuple(Term(ev, c) for ev, c in terms))
+    return _collect(cert.order, [(f_i, lam_i) for lam_i, f_i in cert.pairs])
 
 
 def verify_naive(cert: Certificate) -> VerifyResult:

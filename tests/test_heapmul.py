@@ -176,3 +176,54 @@ def test_gb_route_heap_peak_bound(rng, route):
         assert c.heap_peak <= term_count(f) * n_lists
         multi_list_runs += c.heap_peak > term_count(f)
     assert multi_list_runs > 0
+
+
+from functools import cmp_to_key  # noqa: E402
+from itertools import islice  # noqa: E402
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from polycert import ev_add, negate  # noqa: E402
+
+small_terms = st.lists(
+    st.tuples(st.tuples(*[st.integers(0, 2)] * 2), st.sampled_from([-2, -1, 1, 2])),
+    max_size=4,
+)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("descending", [True, False])
+@given(raw=st.lists(st.tuples(small_terms, small_terms), min_size=1, max_size=4),
+       cancel=st.booleans(), k=st.integers(1, 30))
+@settings(max_examples=60, deadline=None)
+def test_partly_consumed_merge_counts_only_its_work(order, descending, raw, cancel, k):
+    def as_poly(terms):
+        return poly_from_terms(order, [(ev_make(e), c) for e, c in terms])
+
+    pairs = [(as_poly(a), as_poly(b)) for a, b in raw]
+    if cancel:  # every product meets its negation: nothing is ever yielded
+        pairs += [(a, negate(b)) for a, b in pairs]
+    # oracle, outside any scope: every product monomial, then the terms in scan order
+    sign = 1 if descending else -1
+    products, sums = [], {}
+    for a, b in pairs:
+        for s in a.terms:
+            for t in b.terms:
+                ev = ev_add(s.degrees, t.degrees)
+                products.append(ev)
+                sums[ev] = sums.get(ev, 0) + s.coeff * t.coeff
+    scan = sorted(sums, key=cmp_to_key(lambda u, v: -sign * ev_compare(order, u, v)))
+    terms = [(ev, sums[ev]) for ev in scan if sums[ev] != 0]
+    if k <= len(terms):  # stopped at the k-th term: entries at or before it
+        last = terms[k - 1][0]
+        products = [ev for ev in products if sign * ev_compare(order, ev, last) >= 0]
+
+    with count_ops() as c:
+        it = merge_products(pairs, order, descending)
+        got = list(islice(it, k))
+    it.close()  # abandoned
+    assert got == terms[:k]
+    assert c.heap_extractions == c.coeff_muls == len(products)
+    assert c.coeff_adds == len(products) - len(set(products))
+    assert c.heap_peak == sum(len(a.terms) for a, b in pairs if b.terms)

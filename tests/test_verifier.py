@@ -319,3 +319,28 @@ def test_counters_pinned(order):
         got[f"verify {d.value}"] = astuple(verify(cert, d).stats.counters)
         got[f"verify {d.value} invalid"] = astuple(verify(bad, d).stats.counters)
     assert got == PINNED_COUNTERS[order]
+
+
+from functools import partial  # noqa: E402
+
+
+def test_unsorted_terms_rejected_at_the_boundary():
+    x = VariableSet(("x",))
+    lam, g = parse_poly("x + 1", x, GRLEX), parse_poly("x - 1", x, GRLEX)
+    f = parse_poly("x^2 - 1", x, GRLEX)  # = lam * g
+    unsorted = [
+        Certificate(x, GRLEX, Polynomial(GRLEX, f.terms[::-1]), ((lam, g),)),
+        Certificate(x, GRLEX, f, ((Polynomial(GRLEX, lam.terms[::-1]), g),)),
+        Certificate(x, GRLEX, f, ((lam, Polynomial(GRLEX, g.terms[:1] * 2)),)),
+    ]
+    checks = [verify, partial(verify, direction=ScanDirection.MIN_FIRST),
+              combine, verify_naive]
+    for cert in unsorted:
+        for check in checks:
+            with pytest.raises(CertificateFormatError, match="strictly decreasing"):
+                check(cert)
+    # a zero coefficient in its sorted place changes no sum and is accepted
+    padded = f.terms[:1] + (Term(ev_make((1,)), 0),) + f.terms[1:]
+    cert = Certificate(x, GRLEX, Polynomial(GRLEX, padded), ((lam, g),))
+    assert verify(cert).valid and verify(cert, ScanDirection.MIN_FIRST).valid
+    assert combine(cert) == f
