@@ -6,16 +6,17 @@ and heap extractions to it, and raises the largest merge heap it saw.
 Scopes nest: a count lands in every currently open scope, so an outer scope
 sees the totals (and the peak) of everything run inside it.
 
-A comparison ticks where it is made (:class:`CountingKey` ``<``,
-``ev_compare``), since heapq and sorts make it in C.  Every other count is
-kept in local ints by its kernel and handed over by :func:`tally`: a merge
-right before each term it yields and once at its end, any other kernel once.
-Scopes open or close only between a merge's yields, so each count lands in
-the scopes open while its work was done.
+A comparison made in C by a sort ticks where it is made
+(:class:`CountingKey` ``<``), as does ``ev_compare``.  Every other count is
+kept in local ints by its kernel and handed over by :func:`tally`: a merge,
+which counts its comparisons in its own heap sift, right before each term it
+yields and once at its end, any other kernel once.  Scopes open or close only
+between a merge's yields, so each count lands in the scopes open while its
+work was done.
 
 Open scopes live in a :class:`contextvars.ContextVar`, private to each
-thread and asyncio task.  With none open, :func:`key_factory` leaves packed
-monomial keys plain ints, which heapq and sorts compare in C.
+thread and asyncio task.  With none open, :func:`key_factory` leaves sort
+keys plain ints, and merges sift with C heapq.
 """
 
 from __future__ import annotations
@@ -58,8 +59,12 @@ class CountingKey(int):
         return int.__lt__(self, other)
 
 
+def scopes_open() -> bool:
+    return bool(_scopes.get())
+
+
 def key_factory() -> type[int]:
-    """The key wrapper: :class:`CountingKey` while a scope is open, else ``int``."""
+    """The sort key wrapper: :class:`CountingKey` while a scope is open, else ``int``."""
     return CountingKey if _scopes.get() else int
 
 
@@ -69,10 +74,15 @@ def tick_comparison() -> None:
 
 
 def tally(
-    coeff_adds: int = 0, coeff_muls: int = 0, extractions: int = 0, heap: int = 0
+    coeff_adds: int = 0,
+    coeff_muls: int = 0,
+    extractions: int = 0,
+    heap: int = 0,
+    comparisons: int = 0,
 ) -> None:
     """Add locally kept counts to every open scope; `heap` raises heap_peak."""
     for c in _scopes.get():
+        c.comparisons += comparisons
         c.coeff_adds += coeff_adds
         c.coeff_muls += coeff_muls
         c.heap_extractions += extractions

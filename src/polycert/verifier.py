@@ -103,8 +103,6 @@ def verify_naive(cert: Certificate) -> VerifyResult:
             prod = poly.mul_naive(lam_i, f_i)
             peak = max(peak, len(residual.terms) + len(prod.terms))
             residual = poly.add(residual, prod)
-    stats = VerifyStats(counters, peak)
-    if residual.terms:
-        lt = residual.terms[0]
-        return VerifyResult(False, (lt.degrees, lt.coeff), stats)
-    return VerifyResult(True, None, stats)
+    # -f keeps any zero coefficient of f where no product reaches it
+    witness = next(((t.degrees, t.coeff) for t in residual.terms if t.coeff != 0), None)
+    return VerifyResult(witness is None, witness, VerifyStats(counters, peak))

@@ -344,3 +344,20 @@ def test_unsorted_terms_rejected_at_the_boundary():
     cert = Certificate(x, GRLEX, Polynomial(GRLEX, padded), ((lam, g),))
     assert verify(cert).valid and verify(cert, ScanDirection.MIN_FIRST).valid
     assert combine(cert) == f
+
+
+def test_zero_coefficient_in_f_checked_alike_by_all_three():
+    x = VariableSet(("x",))
+    g = parse_poly("x - 1", x, GRLEX)
+    f = parse_poly("x^2 - 1", x, GRLEX)
+    padded = f.terms[:1] + (Term(ev_make((1,)), 0),) + f.terms[1:]  # x^2 + 0*x - 1
+    f0 = Polynomial(GRLEX, padded)
+    checks = [verify, partial(verify, direction=ScanDirection.MIN_FIRST), verify_naive]
+    valid = Certificate(x, GRLEX, f0, ((parse_poly("x + 1", x, GRLEX), g),))
+    for check in checks:
+        res = check(valid)
+        assert res.valid and res.witness is None
+    # with lambda = x + 2 the residual is x - 1: the zero term is the witness's
+    invalid = Certificate(x, GRLEX, f0, ((parse_poly("x + 2", x, GRLEX), g),))
+    witnesses = [check(invalid).witness for check in checks]
+    assert [(ev.exponents, c) for ev, c in witnesses] == [((1,), 1), ((0,), -1), ((1,), 1)]
