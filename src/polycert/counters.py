@@ -1,15 +1,15 @@
 """Scoped operation counters.
 
 Callers open an instrumentation scope with :func:`count_ops`; kernel work run
-inside it adds monomial comparisons, coefficient additions/multiplications
-and heap extractions to it, and raises the largest merge heap it saw.
+inside it adds monomial comparisons, coefficient additions/multiplications and
+heap extractions to it, and raises the most live merge stream entries it saw.
 Scopes nest: a count lands in every currently open scope, so an outer scope
 sees the totals (and the peak) of everything run inside it.
 
 A comparison made in C by a sort ticks where it is made
 (:class:`CountingKey` ``<``), as does ``ev_compare``.  Every other count is
 kept in local ints by its kernel and handed over by :func:`tally`: a merge,
-which counts its comparisons in its own heap sift, right before each term it
+whose heap port counts every comparison it makes, right before each term it
 yields and once at its end, any other kernel once.  Scopes open or close only
 between a merge's yields, so each count lands in the scopes open while its
 work was done.
@@ -32,7 +32,7 @@ class OpCounters:
     coeff_adds: int = 0
     coeff_muls: int = 0
     heap_extractions: int = 0
-    heap_peak: int = 0  # largest merge heap in the scope: a max, not a sum
+    heap_peak: int = 0  # most live merge stream entries: a max, not a sum
 
 
 _scopes: ContextVar[tuple[OpCounters, ...]] = ContextVar("polycert_scopes", default=())

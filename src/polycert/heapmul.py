@@ -1,35 +1,38 @@
 """Heap-merged sparse multiplication: one stream-merge engine.
 
-:func:`merge_products` is Johnson's (1974) merge of unevaluated products.
-Given pairs (a_k, b_k) it yields the terms of sum_k a_k * b_k in scan order.
-Each term of a_k seeds one stream a_k[i] * b_k whose cursor walks b_k's term
-list, so "the rest of b_k" costs nothing to represent.  One binary heap
-holds every stream, keyed by the sum of the packed keys (:func:`key_packer`)
-of the factors of its next product term, so no monomial is built before it
-is yielded.  The keys are plain ints.  Outside a counter scope C heapq
-sifts them; inside one, :class:`CountedHeap`, a line-for-line port of
-heapq's push and pop, makes the same comparisons and counts them in a local
+:func:`merge_products` is Johnson's (1974) merge of unevaluated products on
+the chained heap of Monagan & Pearce (ISSAC 2009).  Given pairs (a_k, b_k)
+it yields the terms of sum_k a_k * b_k in scan order.  Each term of a_k
+seeds one stream a_k[i] * b_k whose cursor walks b_k's term list, so "the
+rest of b_k" costs nothing to represent.  A stream entry is keyed by the sum
+of the packed keys (:func:`key_packer`) of its next product's factors, so no
+monomial is built before it is yielded.  The heap holds each distinct key
+once, as a plain int, and a dict chains to it every entry at that key.  A
+step takes the least key's whole chain and sums its products, so each
+yielded term is final and the output is built by O(1) appends; each
+entry's successor joins the chain at its key, and a new key takes the spent
+key's heap slot (heapreplace) or is pushed.  Every stream entry is
+extracted exactly once.  Outside a counter scope C heapq sifts the keys;
+inside one, :class:`CountedHeap`, a line-for-line port of heapq's push, pop
+and replace, makes the same comparisons and counts every one in a local
 int.  That count and every other one (extractions, products, sums) are
-tallied right before each yielded term and once at the end.  The heap never
-holds more than one entry per stream, and every stream entry is extracted
-exactly once.  Equal monomials are extracted back to back and their
-coefficients summed, so each yielded term is final and the output is built
-by O(1) appends.  heapq pops the least key: max-first scans negate the keys,
-min-first scans negate nothing and read every b_k from its trailing end.
+tallied right before each yielded term and once at the end.  heapq pops the
+least key: max-first scans negate the keys, min-first scans negate nothing
+and read every b_k from its trailing end.
 
 Every product in the package is a thin consumer of the engine:
-:func:`mul_heap` merges the single pair (f, g) with #f heap entries and
+:func:`mul_heap` merges the single pair (f, g) with at most #f heap keys and
 #f*#g extractions; the geobucket routes of :func:`mul_heap_gb` convert the
 geobucket to a list first, stream each nonempty bucket as its own pair (up
-to #f * #buckets heap entries), or fold small buckets into one list and
-stream the large ones; the certificate verifier merges (f_i, lambda_i) for
-every pair.
+to #f * #buckets streams), or fold small buckets into one list and stream
+the large ones; the certificate verifier merges (f_i, lambda_i) for every
+pair.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import Iterable, Iterator
 
 from . import poly
@@ -39,21 +42,17 @@ from .geobucket import Geobucket
 from .monomial import ExponentVector, MonomialOrder, ev_add, key_packer
 from .poly import Coefficient, Polynomial, Term
 
-_UNCOUNTED = heappop, heappush  # C heapq
+_UNCOUNTED = heappop, heappush, heapreplace  # C heapq
 
 
 def _sift_to_root(heap: list, pos: int) -> int:
-    """heapq._siftdown(heap, 0, pos); returns the comparisons of unequal keys."""
-    item = heap[pos]
-    key, n = item[0], 0
+    """heapq._siftdown(heap, 0, pos); returns its comparisons."""
+    item, n = heap[pos], 0
     while pos:
         up = (pos - 1) >> 1
         parent = heap[up]
-        if key != parent[0]:
-            n += 1
-            if key > parent[0]:
-                break
-        elif not item < parent:
+        n += 1
+        if not item < parent:
             break
         heap[pos] = parent
         pos = up
@@ -62,12 +61,10 @@ def _sift_to_root(heap: list, pos: int) -> int:
 
 
 class CountedHeap:
-    """CPython's heappush / heappop ported line for line, counting comparisons.
+    """CPython's heappush / heappop / heapreplace ported line for line.
 
-    Entries are tuples headed by an int key.  A comparison counts when the
-    two keys differ: where C heapq on counting keys would tick, since a tuple
-    tie on equal keys falls through to the next fields, which tick nothing.
-    Both make the same comparisons and leave the same heap.
+    It makes C heapq's ``<`` comparisons, leaves its heap, and counts every
+    comparison: as many as counting keys would tick under C heapq.
     """
 
     __slots__ = ("comparisons",)
@@ -75,27 +72,24 @@ class CountedHeap:
     def __init__(self) -> None:
         self.comparisons = 0
 
-    def push(self, heap: list, item: tuple) -> None:
+    def push(self, heap: list, item: int) -> None:
         heap.append(item)
         self.comparisons += _sift_to_root(heap, len(heap) - 1)
 
-    def pop(self, heap: list) -> tuple:
+    def pop(self, heap: list) -> int:
         last = heap.pop()
-        if not heap:
-            return last
+        return self.replace(heap, last) if heap else last
+
+    def replace(self, heap: list, item: int) -> int:
         top, end, pos, child, n = heap[0], len(heap), 0, 1, 0
         while child < end:  # heapq._siftup: move the smaller child up to a leaf
             if child + 1 < end:
-                a, b = heap[child], heap[child + 1]
-                if a[0] != b[0]:
-                    n += 1
-                    if a[0] > b[0]:
-                        child += 1
-                elif not a < b:
+                n += 1
+                if not heap[child] < heap[child + 1]:
                     child += 1
             heap[pos] = heap[child]
             pos, child = child, 2 * child + 1
-        heap[pos] = last
+        heap[pos] = item
         self.comparisons += n + _sift_to_root(heap, pos)
         return top
 
@@ -124,39 +118,43 @@ def merge_products(
     for s in sources:
         s += [[sign * pack(t.degrees) for t in ts] for ts in s]
     port = CountedHeap()
-    counted = port.pop, port.push
-    pop, push = counted if scopes_open() else _UNCOUNTED
-    heap = []
+    counted = port.pop, port.push, port.replace
+    pop, push, replace = counted if scopes_open() else _UNCOUNTED
+    heap, chains = [], {}  # each distinct key once; key -> its (k, i, j) entries
     for k, (_, _, ka, kb) in enumerate(sources):
         for i, ki in enumerate(ka):
-            push(heap, (ki + kb[0], k, i, 0))
-    # A step pops an entry before it pushes at most that stream's successor,
-    # so the heap never outgrows its seeded size: the peak, which the first
-    # tally reports.  Each pop is one product.
-    peak, pops, adds = len(heap), 0, 0
+            chain = chains.setdefault(ki + kb[0], [])
+            if not chain:
+                push(heap, ki + kb[0])
+            chain.append((k, i, 0))
+    # Each entry taken is one product and adds at most one successor, so the
+    # live entries never outnumber the seeded ones: the peak, tallied first.
+    peak, pops, adds = sum(len(s[0]) for s in sources), 0, 0
 
-    first: tuple[Term, Term] | None = None  # factors of the tie group's first entry
     while heap:
-        key, k, i, j = pop(heap)
-        pops += 1
-        a_terms, bt, ka, kb = sources[k]
-        at, bj = a_terms[i], bt[j]
-        c = at.coeff * bj.coeff
-        if j + 1 < len(bt):
-            push(heap, (ka[i] + kb[j + 1], k, i, j + 1))
-        if first is None:
-            first, coeff = (at, bj), c
-        else:
-            adds += 1
-            coeff = coeff + c
-        if not heap or heap[0][0] != key:
-            if coeff != 0:
-                tally(adds, pops, pops, peak, port.comparisons)
-                peak = pops = adds = port.comparisons = 0
-                yield ev_add(first[0].degrees, first[1].degrees), coeff
-                # scopes open or close only here: sift counted while any is open
-                pop, push = counted if scopes_open() else _UNCOUNTED
-            first = None
+        chain = chains.pop(heap[0])
+        pops += len(chain)
+        adds += len(chain) - 1
+        coeff, replaced = 0, False
+        for k, i, j in chain:
+            a_terms, bt, ka, kb = sources[k]
+            coeff += a_terms[i].coeff * bt[j].coeff
+            if j + 1 < len(bt):
+                key = ka[i] + kb[j + 1]
+                if key in chains:
+                    chains[key].append((k, i, j + 1))
+                else:  # a new key: the first takes the spent top's slot
+                    chains[key] = [(k, i, j + 1)]
+                    (push if replaced else replace)(heap, key)
+                    replaced = True
+        if not replaced:
+            pop(heap)
+        if coeff != 0:  # the last entry taken names the chain's monomial
+            tally(adds, pops, pops, peak, port.comparisons)
+            peak = pops = adds = port.comparisons = 0
+            yield ev_add(a_terms[i].degrees, bt[j].degrees), coeff
+            # scopes open or close only here: sift counted while any is open
+            pop, push, replace = counted if scopes_open() else _UNCOUNTED
     tally(adds, pops, pops, peak, port.comparisons)
 
 

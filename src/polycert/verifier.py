@@ -5,9 +5,9 @@ residual form 0 = (-1)*f + sum_i lambda_i * f_i with the stream-merge
 engine of :mod:`polycert.heapmul`: each product contributes one stream per
 f_i term (cursors walking lambda_i), (-1)*f joins as one more single
 stream walking f, and one heap holds every stream.  No product is ever
-materialized; at each extracted monomial the coefficients of every tied
-stream entry are summed and tested for zero.  The first nonzero residual
-monomial in scan direction is the witness, and the merge stops there.
+materialized; at each extracted monomial the coefficients of the stream
+entries chained at it are summed and tested for zero.  The first nonzero
+residual monomial in scan direction is the witness, and the merge stops there.
 
 ``max_first`` scans from the greatest monomial down; ``min_first`` inverts
 every comparison and walks the term lists from their trailing ends, which
@@ -44,7 +44,7 @@ class Certificate:
 @dataclass
 class VerifyStats:
     counters: OpCounters
-    peak_terms: int  # max simultaneously live terms: inputs + peak heap entries
+    peak_terms: int  # max simultaneously live terms: inputs + peak live stream entries
 
 
 @dataclass

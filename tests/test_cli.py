@@ -218,3 +218,62 @@ def test_convert_5000_digit_exponent(tmp_path, capsys):
     argv = ["convert", "--vars", "x,y", "--to", "recursive", "--mode", "sparse", str(p)]
     assert main(argv) == 0
     assert capsys.readouterr().out == f"(x,({e},1),(0,1))\n"
+
+
+import random  # noqa: E402
+
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from polycert import add, parse_certificate, verify_naive, zero  # noqa: E402
+from polycert.errors import KernelError  # noqa: E402
+
+from conftest import ORDERS, random_poly  # noqa: E402
+
+
+def certificate_text(seed, corrupt):
+    """A small certificate in x, y: valid, or with a term added to f."""
+    rng = random.Random(seed)
+    order = rng.choice(ORDERS)
+    pairs = tuple(
+        (random_poly(rng, order, 3, nvars=2, max_exp=2),
+         random_poly(rng, order, 3, nvars=2, max_exp=2))
+        for _ in range(rng.randint(1, 2))
+    )
+    f = zero(order)
+    for lam, g in pairs:
+        f = add(f, mul_naive(lam, g))
+    if corrupt:
+        f = add(f, random_poly(rng, order, 1, nvars=2, max_exp=3))
+    return format_certificate(Certificate(XY, order, f, pairs))
+
+
+# pieces of the grammar and the layout, and a little arbitrary text
+FRAGMENTS = ["0", "1", "-1", "9" * 30, "+", "-", "*", "/", "/0", "^", "^-1", "^0",
+             "x", "y", "z", "x^2", " ", "\n", "\r", ":", "#", "[", "]", "lambda[2]: x",
+             "g[0]: 1", "N: 2", "N: 0", "order: lex", "vars: x x", "f: ", "é", "\x00"]
+edits = st.lists(
+    st.tuples(st.integers(0, 10**6), st.integers(0, 6),
+              st.one_of(st.sampled_from(FRAGMENTS), st.just(""), st.text(max_size=3))),
+    min_size=1, max_size=4,
+)
+
+
+@given(seed=st.integers(0, 2**16), corrupt=st.booleans(), edits=edits)
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_certificates_exit_as_the_oracle_reads_them(
+        tmp_path, seed, corrupt, edits):
+    text = certificate_text(seed, corrupt)
+    for where, cut, insert in edits:  # replace `cut` characters at `where` by `insert`
+        i = where % (len(text) + 1)
+        text = text[:i] + insert + text[i + cut:]
+    path = tmp_path / "mutated.cert"
+    path.write_text(text, encoding="utf-8")
+    try:
+        naive = verify_naive(parse_certificate(path.read_text(encoding="utf-8"))).valid
+    except KernelError:
+        naive = None  # bad input: the CLI must say exit 2
+    for direction in ("max", "min"):
+        code = main(["verify", "--direction", direction, "--cert", str(path)])
+        assert code == {True: 0, False: 1, None: 2}[naive], text

@@ -227,3 +227,20 @@ def test_partly_consumed_merge_counts_only_its_work(order, descending, raw, canc
     assert c.heap_extractions == c.coeff_muls == len(products)
     assert c.coeff_adds == len(products) - len(set(products))
     assert c.heap_peak == sum(len(a.terms) for a, b in pairs if b.terms)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("descending", [True, False])
+def test_tied_stream_entries_cost_no_comparisons(order, descending):
+    # r copies of one pair tie at every key: they share its chain, not the heap
+    rng = random.Random(13)
+    f, g = random_poly(rng, order, 20), random_poly(rng, order, 20)
+    runs = {}
+    for r in (1, 3):
+        with count_ops() as c:
+            runs[r] = list(merge_products([(f, g)] * r, order, descending)), c
+    (once, c1), (thrice, c3) = runs[1], runs[3]
+    assert thrice == [(ev, 3 * coeff) for ev, coeff in once]
+    assert c3.comparisons == c1.comparisons > 0
+    assert c3.heap_extractions == c3.coeff_muls == 3 * c1.heap_extractions
+    assert c1.coeff_muls == c1.heap_extractions == len(f.terms) * len(g.terms)

@@ -1,9 +1,10 @@
 """Packed monomial keys: order, linearity, the counting wrapper and its scope.
 
 Sorts and the merge heap order monomials by one int per monomial
-(:func:`polycert.monomial.key_packer`).  Outside a ``count_ops`` scope the
-keys are plain ints; inside one they are ``CountingKey``s that tick on
-``<``.  The open scopes are per thread and per asyncio task.
+(:func:`polycert.monomial.key_packer`).  Outside a ``count_ops`` scope every
+key is a plain int.  Inside one only sort keys are ``CountingKey``s that tick
+on ``<``; the merge sifts plain ints through its counting heap port.  The
+open scopes are per thread and per asyncio task.
 """
 
 import asyncio
@@ -109,9 +110,10 @@ def fixed_halves(order):
     return terms[:40], terms[40:]
 
 
-# comparisons of poly_from_terms on both halves, and of their mul_heap product,
-# recorded while keys were still tuples; 40 and 36 terms, 813 in the product
-COMPARISONS = {LEX: (296, 9728), GRLEX: (302, 9692), GREVLEX: (304, 9503)}
+# comparisons of poly_from_terms on both halves, recorded while keys were still
+# tuples, and of their mul_heap product on the chained heap; 40 and 36 terms,
+# 813 in the product
+COMPARISONS = {LEX: (296, 5278), GRLEX: (302, 5237), GREVLEX: (304, 5206)}
 
 
 def boom(self, other):

@@ -277,27 +277,27 @@ from polycert import count_ops, mul_heap  # noqa: E402
 PINNED_COUNTERS = {
     MonomialOrder.LEX: {
         "poly_from_terms": (332, 0, 0, 0, 0),
-        "mul_heap": (4380, 384, 812, 812, 28),
-        "verify max": (2840, 233, 437, 437, 31),
-        "verify max invalid": (1050, 69, 133, 133, 31),
-        "verify min": (2915, 233, 437, 437, 31),
-        "verify min invalid": (2182, 165, 306, 306, 31),
+        "mul_heap": (2166, 384, 812, 812, 28),
+        "verify max": (1094, 233, 437, 437, 31),
+        "verify max invalid": (437, 69, 133, 133, 31),
+        "verify min": (1132, 233, 437, 437, 31),
+        "verify min invalid": (873, 165, 306, 306, 31),
     },
     MonomialOrder.GRLEX: {
         "poly_from_terms": (333, 0, 0, 0, 0),
-        "mul_heap": (4540, 384, 812, 812, 28),
-        "verify max": (2839, 233, 437, 437, 31),
-        "verify max invalid": (998, 69, 133, 133, 31),
-        "verify min": (2856, 233, 437, 437, 31),
-        "verify min invalid": (2169, 165, 306, 306, 31),
+        "mul_heap": (2213, 384, 812, 812, 28),
+        "verify max": (1100, 233, 437, 437, 31),
+        "verify max invalid": (414, 69, 133, 133, 31),
+        "verify min": (1100, 233, 437, 437, 31),
+        "verify min invalid": (841, 165, 306, 306, 31),
     },
     MonomialOrder.GREVLEX: {
         "poly_from_terms": (333, 0, 0, 0, 0),
-        "mul_heap": (4532, 384, 812, 812, 28),
-        "verify max": (2875, 233, 437, 437, 31),
-        "verify max invalid": (1000, 69, 133, 133, 31),
-        "verify min": (2880, 233, 437, 437, 31),
-        "verify min invalid": (2175, 165, 306, 306, 31),
+        "mul_heap": (2136, 384, 812, 812, 28),
+        "verify max": (1116, 233, 437, 437, 31),
+        "verify max invalid": (438, 69, 133, 133, 31),
+        "verify min": (1087, 233, 437, 437, 31),
+        "verify min invalid": (836, 165, 306, 306, 31),
     },
 }
 
