@@ -6,16 +6,18 @@ vectors cache their total degree so that total-degree orders can compare
 totals in O(1) before falling back to a positional scan.
 
 :meth:`MonomialOrder.key` writes each order as a tuple linear in the
-exponents; :func:`key_packer` packs it into one int per monomial, wrapped
-in a counting key only inside a counter scope.  Exponents, totals and keys
-are plain ints, so any degree (x^1000000000 and friends) is fine.
+exponents, so :func:`key_packer` packs it into one int per monomial as a
+dot product of the exponents with one weight vector per order and base;
+sorts wrap that int in a counting key only inside a counter scope.
+Exponents, totals and keys are plain ints, so any degree (x^1000000000 and
+friends) is fine.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from operator import add
+from operator import add, mul
 
 from .counters import tick_comparison
 from .errors import DimensionError, DomainError
@@ -40,16 +42,27 @@ def key_packer(order: MonomialOrder, evs: list[ExponentVector], summands: int = 
     B = 2^s above any digit of a sum of `summands` keys (no digit exceeds a
     total).  A key's digits after the first share one sign, so lower digits
     never outweigh a higher one: int ``<`` orders as the order, and int ``+``
-    of packed keys packs the monomial product."""
+    of packed keys packs the monomial product.
+
+    The key is linear in the exponents, so the packed int is their dot
+    product with one weight per variable, computed here once: exponent i of
+    n weighs B^(n-1-i) in lex, B^n + B^(n-1-i) in grlex (its share of the
+    total digit plus its own digit) and B^n - B^i in grevlex (the total digit
+    less its reversed, negated digit)."""
     if len({len(ev.exponents) for ev in evs}) > 1:
         raise DimensionError("exponent vectors of mixed lengths")
     shift = (summands * max((ev.total for ev in evs), default=0)).bit_length()
+    n = len(evs[0].exponents) if evs else 0
+    place = [1 << (shift * i) for i in range(n + 1)]  # B^0 .. B^n
+    if order is MonomialOrder.LEX:
+        weights = [place[n - 1 - i] for i in range(n)]
+    elif order is MonomialOrder.GRLEX:
+        weights = [place[n] + place[n - 1 - i] for i in range(n)]
+    else:  # grevlex
+        weights = [place[n] - place[i] for i in range(n)]
 
     def pack(ev: ExponentVector) -> int:
-        k = 0
-        for digit in order.key(ev):
-            k = (k << shift) + digit
-        return k
+        return sum(map(mul, ev.exponents, weights))
 
     return pack
 

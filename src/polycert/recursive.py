@@ -237,20 +237,21 @@ def univ_pseudo_divide(f: RecursivePoly, g: RecursivePoly):
     dg, lg = pg[0][0], pg[0][1]
     df = pf[0][0] if pf else 0
     delta = max(df - dg + 1, 0) if pf else 0
-    q: list[tuple[int, Coefficient]] = []
+    steps: list[tuple[int, Coefficient]] = []  # (shift, lc(r)) per step
     r = list(pf)
-    steps = 0
     while r and r[0][0] >= dg:
         lr, dr = r[0][1], r[0][0]
-        shift = dr - dg
-        # scale both running q and r by lc(g), then cancel the head
-        q = [(e, lg * c) for e, c in q]
-        q.append((shift, lr))
+        steps.append((dr - dg, lr))
+        # scale r by lc(g), then cancel the head
         r = [(e, lg * c) for e, c in r]
-        r = _sub_scaled(r, pg, lr, shift)
-        steps += 1
+        r = _sub_scaled(r, pg, lr, dr - dg)
     # pad so the identity uses exactly lc(g)**delta
-    pad = lg ** (delta - steps)
-    q = [(e, pad * c) for e, c in q]
+    pad = lg ** (delta - len(steps))
     r = [(e, pad * c) for e, c in r]
+    # step k's quotient term would have been scaled by lc(g) at each later
+    # step and by the pad: lc(g)**(delta-1-k), built from the last step back
+    q = []
+    for shift, lr in reversed(steps):
+        q.append((shift, pad * lr))
+        pad *= lg
     return _rebuild(var, q), _rebuild(var, r), delta

@@ -22,11 +22,15 @@ Certificate files are line-oriented UTF-8 with exact section labels::
 Blank lines and lines starting with '#' are ignored.  Long polynomials may
 continue on following lines until the next label.
 
-:func:`parse_poly` reads the text in one left-to-right scan of compiled
-patterns (term head, factor, '*'); every malformed input raises
-:class:`ParseError` with a position.  Coefficients are exact at any length:
-digit strings and integers beyond the interpreter's int-string digit limit
-are converted in pieces, without changing the limit.
+:func:`parse_poly` reads the text left to right.  A canonical term, written
+as :func:`print_poly` writes it, takes one match of a pattern compiled once
+per variable set, and its exponents are looked up in C.  At the first term
+that pattern does not take whole, the general scan (term head, factor, '*'
+patterns) picks up and reads the rest of the text; it accepts the whole
+grammar and is the only source of :class:`ParseError`, each with a
+position.  Coefficients are exact at any length: digit strings and integers
+beyond the interpreter's int-string digit limit are converted in pieces,
+without changing the limit.
 
 Reading term streams: :func:`read_sorted` consumes a strictly decreasing
 stream with exactly n-1 comparisons and O(1) appends, falling back to
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable
 
 from . import poly
@@ -53,6 +58,7 @@ from .verifier import Certificate
 _HEAD = re.compile(r"\s*([+-]?)\s*(?:(\d+)\s*(?:(/)\s*(\d*))?)?\s*")
 _FACTOR = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:(\^)\s*(\d*))?\s*")
 _STAR = re.compile(r"\*\s*")
+_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN = re.compile(r"(\d+)|[A-Za-z_][A-Za-z0-9_]*|[+\-*/^()]")
 
 
@@ -96,13 +102,79 @@ def _error(text: str, at: int, expected: str, got: bool = False) -> ParseError:
     return ParseError(expected, at)
 
 
+@lru_cache(maxsize=64)
+def _term_pattern(names: tuple[str, ...]) -> re.Pattern:
+    """One canonical term over `names`, as :func:`print_poly` writes it.
+
+    Groups: sign, numerator, denominator, then one factor group per
+    variable, in variable order.  A factor is ``v`` or ``v^digits`` with no
+    spaces or non-ASCII digits; a '*' comes before it exactly when a
+    coefficient or another factor does, and a lookahead ends each name, so
+    ``x`` does not start on ``x1``.  The term starts at a letter, digit or
+    '_' and the match ends past trailing whitespace at a sign or at the end
+    of the text, so it takes a term whole or not at all, and never matches
+    empty.  A name outside the grammar gets a group that never matches,
+    which leaves its terms to the general scan."""
+    factors = "".join(
+        r"(?:(?:(?<=[A-Za-z0-9_])\*|(?<![A-Za-z0-9_]))"
+        rf"({re.escape(name)}(?![A-Za-z0-9_])(?:\^[0-9]+)?))?"
+        if _NAME.fullmatch(name)
+        else "(?:(?!)())?"
+        for name in names
+    )
+    return re.compile(
+        r"\s*([+-]?)\s*(?=[A-Za-z0-9_])(?:([0-9]+)(?:/(0*[1-9][0-9]*))?)?"
+        + factors
+        + r"\s*(?=[+-]|\Z)"
+    )
+
+
+class _Exponents(dict):
+    """Factor text -> exponent: None -> 0, "x" -> 1, "x^12" -> 12.  A miss
+    is converted and, while the table is small, kept."""
+
+    def __missing__(self, factor: str) -> int:
+        caret = factor.find("^")
+        e = 1 if caret < 0 else _int(factor[caret + 1 :])
+        if len(self) < 4096 and len(factor) < 64:
+            self[factor] = e
+        return e
+
+
+_EXPONENTS = _Exponents({None: 0})
+
+
 def parse_poly(text: str, varset: VariableSet, order: MonomialOrder) -> Polynomial:
-    """Parse a polynomial expression over the given variables in one scan."""
+    """Parse a polynomial expression over the given variables.
+
+    Canonical terms take one match each; the general scan reads the text
+    from the first term that is not canonical to the end."""
     if not text.strip():
         raise ParseError("empty polynomial text", 0)
+    term = _term_pattern(varset.names).match
+    exponent = _EXPONENTS.__getitem__
+    pairs: list[tuple[ExponentVector, Coefficient]] = []
+    pos, end = 0, len(text)
+    while pos < end and (m := term(text, pos)):
+        groups = m.groups()
+        sign, num, den = groups[:3]
+        coeff: Coefficient = 1 if num is None else _int(num)
+        if den:
+            coeff = Fraction(coeff, _int(den))
+        if sign == "-":
+            coeff = -coeff
+        exps = tuple(map(exponent, groups[3:]))
+        pairs.append((ExponentVector(exps, sum(exps)), coeff))
+        pos = m.end()
+    if pos < end:
+        _scan(text, pos, varset, pairs)
+    return poly_from_terms(order, pairs)
+
+
+def _scan(text: str, pos: int, varset: VariableSet, pairs: list) -> None:
+    """The general grammar: append the terms of ``text[pos:]`` to `pairs`,
+    or raise :class:`ParseError` at the first malformed token."""
     index = {name: i for i, name in enumerate(varset.names)}
-    pairs = []
-    pos = 0
     while pos < len(text):
         head = _HEAD.match(text, pos)
         sign, num, slash, den = head.groups()
@@ -135,7 +207,6 @@ def parse_poly(text: str, varset: VariableSet, order: MonomialOrder) -> Polynomi
             exps[index[name]] += _int(e) if caret else 1
             pos, star = factor.end(), True
         pairs.append((ev_make(exps), coeff))
-    return poly_from_terms(order, pairs)
 
 
 def print_poly(p: Polynomial, varset: VariableSet) -> str:
@@ -255,6 +326,8 @@ def parse_certificate(text: str) -> Certificate:
     for label, i in indices.items():
         if not 1 <= i <= n:
             raise CertificateFormatError(f"section {label!r} outside 1..{n}")
+        if label not in (f"lambda[{i}]", f"g[{i}]"):  # lambda[01] is not lambda[1]
+            raise CertificateFormatError(f"section {label!r} is never read")
     return Certificate(varset, order, f, tuple(pairs))
 
 

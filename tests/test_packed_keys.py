@@ -217,3 +217,18 @@ def test_scope_in_one_task_does_not_count_another(descending):
     (scoped, counters), (unscoped, _) = asyncio.run(both())
     assert scoped == unscoped == terms
     assert astuple(counters) == astuple(alone)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@given(batch=st.lists(evs, min_size=1, max_size=4), summands=st.integers(1, 3))
+@settings(max_examples=200, deadline=None)
+def test_packed_key_is_the_base_b_reading_of_the_order_key(order, batch, summands):
+    # the dot product gives exactly the ints of reading the key's digits in
+    # base B one by one, so sorts, heap steps and counts cannot move
+    pack = key_packer(order, batch, summands)
+    shift = (summands * max(ev.total for ev in batch)).bit_length()
+    for ev in batch:
+        k = 0
+        for digit in order.key(ev):
+            k = (k << shift) + digit
+        assert pack(ev) == k

@@ -365,3 +365,85 @@ def test_5000_digit_exponent_round_trips():
     assert print_poly(p, vs) == text
     assert parse_poly(print_poly(p, vs), vs, GRLEX) == p
     assert sys.get_int_max_str_digits() == limit
+
+
+# -- stray certificate sections ----------------------------------------------
+
+
+@pytest.mark.parametrize("label", ["lambda[01]", "g[01]"])
+def test_certificate_section_never_read_is_rejected(label):
+    text = (
+        "vars: x\norder: grlex\nN: 1\nf: x^2 - 1\nlambda[1]: x + 1\ng[1]: x - 1\n"
+        f"{label}: this is $$ not parsed\n"
+    )
+    with pytest.raises(CertificateFormatError) as e:
+        parse_certificate(text)
+    assert label in str(e.value)
+
+
+# -- the canonical loop and the general scan ----------------------------------
+
+import re  # noqa: E402
+
+# Names that prefix each other, so a pattern for one must not take another.
+_CANONICAL_VARSETS = [
+    VariableSet(("x",)),
+    VariableSet(("x", "x1", "xx", "x_1")),
+    VariableSet(("x_1", "xx", "x1", "x")),
+    VariableSet(("p", "q", "x", "y", "z")),
+]
+_EXPONENT = st.one_of(
+    st.integers(0, 3), st.integers(0, 10**40), st.just(10**4400 + 3)  # 4401 digits
+)
+_COEFF = st.one_of(
+    st.integers(-(10**6), 10**6),
+    st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9)),
+    st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**30)),
+    st.sampled_from([BIG, -BIG, Fraction(BIG, BIG_DEN), Fraction(-BIG_DEN, BIG)]),
+)
+
+
+@st.composite
+def _printed_polys(draw):
+    vs = draw(st.sampled_from(_CANONICAL_VARSETS))
+    order = draw(st.sampled_from(ORDERS))
+    terms = draw(st.lists(st.tuples(st.tuples(*[_EXPONENT] * len(vs)), _COEFF), max_size=6))
+    return vs, poly_from_terms(order, [(ev_make(e), c) for e, c in terms])
+
+
+def _no_general_scan(text, pos, *args):
+    raise AssertionError(f"general scan called at {pos} on {text[:80]!r}")
+
+
+@given(drawn=_printed_polys())
+@settings(max_examples=200, deadline=None)
+def test_printed_text_never_leaves_the_canonical_loop(drawn):
+    vs, p = drawn
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(textio, "_scan", _no_general_scan)
+        assert parse_poly(print_poly(p, vs), vs, p.order) == p
+
+
+_NEVER = re.compile(r"(?!)")
+
+
+def _outcome(text, vs, order):
+    try:
+        return parse_poly(text, vs, order)
+    except ParseError as e:
+        return str(e), e.position
+
+
+@given(drawn=_printed_polys(), data=st.data())
+@settings(max_examples=400, deadline=None)
+def test_mutated_text_reads_as_the_general_scan_alone_reads_it(drawn, data):
+    vs, p = drawn
+    text = print_poly(p, vs)
+    kind = data.draw(st.sampled_from(["insert", "delete", "replace"]))
+    at = data.draw(st.integers(0, len(text) - (kind != "insert")))
+    new = data.draw(st.sampled_from([*"+-*/^ 0123456789$", *vs.names]))
+    mutated = text[:at] + ("" if kind == "delete" else new) + text[at + (kind != "insert") :]
+    got = _outcome(mutated, vs, p.order)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(textio, "_term_pattern", lambda names: _NEVER)
+        assert got == _outcome(mutated, vs, p.order)
