@@ -130,6 +130,7 @@ def _report(command: str, n_inputs: int, counters, peak: int, fmt: str) -> str:
         f"coeff_adds: {counters.coeff_adds}\n"
         f"coeff_muls: {counters.coeff_muls}\n"
         f"heap_extractions: {counters.heap_extractions}\n"
+        f"heap_peak: {counters.heap_peak}\n"
         f"peak_terms: {peak}\n"
     )
 

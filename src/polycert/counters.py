@@ -9,10 +9,11 @@ sees the totals (and the peak) of everything run inside it.
 A comparison made in C by a sort ticks where it is made
 (:class:`CountingKey` ``<``), as does ``ev_compare``.  Every other count is
 kept in local ints by its kernel and handed over by :func:`tally`: a merge,
-whose heap port counts every comparison it makes, right before each term it
-yields and once at its end, any other kernel once.  Scopes open or close only
-between a merge's yields, so each count lands in the scopes open while its
-work was done.
+whose heap port counts every comparison it makes, once at its end and, only
+while a scope is open, right before each term it yields; any other kernel
+once.  Scopes open or close only between a merge's yields, so each count
+lands in the scopes open while its work was done, and a merge run with none
+open pays one :func:`tally` call, not one per term.
 
 Open scopes live in a :class:`contextvars.ContextVar`, private to each
 thread and asyncio task.  With none open, :func:`key_factory` leaves sort
@@ -57,10 +58,6 @@ class CountingKey(int):
     def __lt__(self, other) -> bool:
         tick_comparison()
         return int.__lt__(self, other)
-
-
-def scopes_open() -> bool:
-    return bool(_scopes.get())
 
 
 def key_factory() -> type[int]:

@@ -16,9 +16,14 @@ extracted exactly once.  Outside a counter scope C heapq sifts the keys;
 inside one, :class:`CountedHeap`, a line-for-line port of heapq's push, pop
 and replace, makes the same comparisons and counts every one in a local
 int.  That count and every other one (extractions, products, sums) are
-tallied right before each yielded term and once at the end.  heapq pops the
-least key: max-first scans negate the keys, min-first scans negate nothing
-and read every b_k from its trailing end.
+tallied once at the end, and right before each yielded term only while a
+scope was open at the last resume; with none open, the counts since then
+belong to no scope and are dropped, so an unscoped merge makes one
+:func:`tally` call.  Yielded monomials (:func:`ev_unchecked`) and
+collected product terms (:func:`term_unchecked`) are built without the
+frozen dataclass ``__init__``.  heapq pops the least key: max-first scans
+negate the keys, min-first scans negate nothing and read every b_k from its
+trailing end.
 
 Every product in the package is a thin consumer of the engine:
 :func:`mul_heap` merges the single pair (f, g) with at most #f heap keys and
@@ -33,14 +38,16 @@ from __future__ import annotations
 
 from enum import Enum
 from heapq import heappop, heappush, heapreplace
+from itertools import starmap
+from operator import add
 from typing import Iterable, Iterator
 
 from . import poly
-from .counters import scopes_open, tally
+from .counters import _scopes, tally
 from .errors import OrderMismatchError
 from .geobucket import Geobucket
-from .monomial import ExponentVector, MonomialOrder, ev_add, key_packer
-from .poly import Coefficient, Polynomial, Term
+from .monomial import ExponentVector, MonomialOrder, ev_unchecked, key_packer
+from .poly import Coefficient, Polynomial, term_unchecked
 
 _UNCOUNTED = heappop, heappush, heapreplace  # C heapq
 
@@ -105,8 +112,9 @@ def merge_products(
     first.  Each yielded term sums every stream entry at its monomial, and
     nothing past it is extracted until the next term is requested, so a
     consumer that stops early has extracted exactly the entries at or before
-    its last term.  Counts are tallied right before each yield and once at
-    the end, so they land in the scopes open while their work was done.
+    its last term.  Counts are tallied once at the end and, while a scope
+    was open at the last resume, right before each yield, so they land in
+    the scopes open while their work was done.
     """
     sources = []  # per pair: a_k terms, b_k terms in scan order, their keys
     for a, b in pairs:
@@ -119,7 +127,9 @@ def merge_products(
         s += [[sign * pack(t.degrees) for t in ts] for ts in s]
     port = CountedHeap()
     counted = port.pop, port.push, port.replace
-    pop, push, replace = counted if scopes_open() else _UNCOUNTED
+    scopes = _scopes.get
+    scoped = scopes()  # the scopes open at the last resume
+    pop, push, replace = counted if scoped else _UNCOUNTED
     heap, chains = [], {}  # each distinct key once; key -> its (k, i, j) entries
     for k, (_, _, ka, kb) in enumerate(sources):
         for i, ki in enumerate(ka):
@@ -150,11 +160,14 @@ def merge_products(
         if not replaced:
             pop(heap)
         if coeff != 0:  # the last entry taken names the chain's monomial
-            tally(adds, pops, pops, peak, port.comparisons)
+            if scoped:  # else the counts since the last resume belong to no scope
+                tally(adds, pops, pops, peak, port.comparisons)
             peak = pops = adds = port.comparisons = 0
-            yield ev_add(a_terms[i].degrees, bt[j].degrees), coeff
+            da, db = a_terms[i].degrees, bt[j].degrees  # packed: equal lengths
+            exps = tuple(map(add, da.exponents, db.exponents))
+            yield ev_unchecked(exps, da.total + db.total), coeff
             # scopes open or close only here: sift counted while any is open
-            pop, push, replace = counted if scopes_open() else _UNCOUNTED
+            pop, push, replace = counted if (scoped := scopes()) else _UNCOUNTED
     tally(adds, pops, pops, peak, port.comparisons)
 
 
@@ -168,7 +181,7 @@ def _collect(
     order: MonomialOrder, pairs: list[tuple[Polynomial, Polynomial]]
 ) -> Polynomial:
     terms = merge_products(pairs, order)
-    return Polynomial(order, tuple(Term(ev, c) for ev, c in terms))
+    return Polynomial(order, tuple(starmap(term_unchecked, terms)))
 
 
 def mul_heap(f: Polynomial, g: Polynomial) -> Polynomial:

@@ -7,16 +7,18 @@ totals in O(1) before falling back to a positional scan.
 
 :meth:`MonomialOrder.key` writes each order as a tuple linear in the
 exponents, so :func:`key_packer` packs it into one int per monomial as a
-dot product of the exponents with one weight vector per order and base;
-sorts wrap that int in a counting key only inside a counter scope.
+dot product of the exponents with one cached weight vector per order and
+base; sorts wrap that int in a counting key only inside a counter scope.
 Exponents, totals and keys are plain ints, so any degree (x^1000000000 and
-friends) is fine.
+friends) is fine.  :func:`ev_unchecked` builds an exponent vector without
+the dataclass ``__init__`` where the exponents are known to be valid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from operator import add, mul
 
 from .counters import tick_comparison
@@ -45,26 +47,31 @@ def key_packer(order: MonomialOrder, evs: list[ExponentVector], summands: int = 
     of packed keys packs the monomial product.
 
     The key is linear in the exponents, so the packed int is their dot
-    product with one weight per variable, computed here once: exponent i of
-    n weighs B^(n-1-i) in lex, B^n + B^(n-1-i) in grlex (its share of the
-    total digit plus its own digit) and B^n - B^i in grevlex (the total digit
-    less its reversed, negated digit)."""
+    product with one weight per variable, cached per order, length and base
+    (:func:`_weights`): exponent i of n weighs B^(n-1-i) in lex,
+    B^n + B^(n-1-i) in grlex (its share of the total digit plus its own
+    digit) and B^n - B^i in grevlex (the total digit less its reversed,
+    negated digit)."""
     if len({len(ev.exponents) for ev in evs}) > 1:
         raise DimensionError("exponent vectors of mixed lengths")
     shift = (summands * max((ev.total for ev in evs), default=0)).bit_length()
-    n = len(evs[0].exponents) if evs else 0
-    place = [1 << (shift * i) for i in range(n + 1)]  # B^0 .. B^n
-    if order is MonomialOrder.LEX:
-        weights = [place[n - 1 - i] for i in range(n)]
-    elif order is MonomialOrder.GRLEX:
-        weights = [place[n] + place[n - 1 - i] for i in range(n)]
-    else:  # grevlex
-        weights = [place[n] - place[i] for i in range(n)]
+    weights = _weights(order, len(evs[0].exponents) if evs else 0, shift)
 
     def pack(ev: ExponentVector) -> int:
         return sum(map(mul, ev.exponents, weights))
 
     return pack
+
+
+@lru_cache(maxsize=64)
+def _weights(order: MonomialOrder, n: int, shift: int) -> tuple[int, ...]:
+    """:func:`key_packer`'s weight per exponent, in base 2^shift."""
+    place = [1 << (shift * i) for i in range(n + 1)]  # B^0 .. B^n
+    if order is MonomialOrder.LEX:
+        return tuple(place[n - 1 - i] for i in range(n))
+    if order is MonomialOrder.GRLEX:
+        return tuple(place[n] + place[n - 1 - i] for i in range(n))
+    return tuple(place[n] - place[i] for i in range(n))  # grevlex
 
 
 @dataclass(frozen=True)
@@ -106,13 +113,28 @@ class ExponentVector:
         return f"ExponentVector{self.exponents}"
 
 
+_new = object.__new__
+_set_exponents = ExponentVector.exponents.__set__
+_set_total = ExponentVector.total.__set__
+
+
+def ev_unchecked(exponents: tuple[int, ...], total: int) -> ExponentVector:
+    """``ExponentVector(exponents, total)`` without running the frozen
+    dataclass ``__init__``: the caller vouches for a tuple of naturals and
+    its sum.  The object is the same frozen, hashable class."""
+    ev = _new(ExponentVector)
+    _set_exponents(ev, exponents)
+    _set_total(ev, total)
+    return ev
+
+
 def ev_make(exponents) -> ExponentVector:
     """Build an exponent vector, caching the total degree."""
     exps = tuple(exponents)
     for e in exps:
         if not isinstance(e, int) or e < 0:
             raise DomainError(f"exponents must be naturals, got {e!r}")
-    return ExponentVector(exps, sum(exps))
+    return ev_unchecked(exps, sum(exps))
 
 
 def ev_add(a: ExponentVector, b: ExponentVector) -> ExponentVector:
@@ -121,7 +143,7 @@ def ev_add(a: ExponentVector, b: ExponentVector) -> ExponentVector:
         raise DimensionError(
             f"dimension mismatch: {len(a.exponents)} vs {len(b.exponents)}"
         )
-    return ExponentVector(tuple(map(add, a.exponents, b.exponents)), a.total + b.total)
+    return ev_unchecked(tuple(map(add, a.exponents, b.exponents)), a.total + b.total)
 
 
 def ev_compare(order: MonomialOrder, a: ExponentVector, b: ExponentVector) -> int:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import starmap
 from typing import Iterable, Union
 
 from .counters import key_factory, tally
@@ -28,6 +29,19 @@ Coefficient = Union[int, Fraction]
 class Term:
     degrees: ExponentVector
     coeff: Coefficient
+
+
+_new = object.__new__
+_set_degrees, _set_coeff = Term.degrees.__set__, Term.coeff.__set__
+
+
+def term_unchecked(degrees: ExponentVector, coeff: Coefficient) -> Term:
+    """``Term(degrees, coeff)`` without running the frozen dataclass
+    ``__init__``; the object is the same frozen, hashable class."""
+    t = _new(Term)
+    _set_degrees(t, degrees)
+    _set_coeff(t, coeff)
+    return t
 
 
 @dataclass(frozen=True)
@@ -54,8 +68,11 @@ def poly_from_terms(
         combined[ev.exponents] = (ev, c if old is None else old[1] + c)
     entries = [(ev, c) for ev, c in combined.values() if c != 0]
     pack, wrap = key_packer(order, [ev for ev, _ in entries]), key_factory()
-    entries.sort(key=lambda e: wrap(pack(e[0])), reverse=True)
-    return Polynomial(order, tuple(Term(ev, c) for ev, c in entries))
+    if wrap is int:  # no scope open: sort by the packed int itself
+        entries.sort(key=lambda e: pack(e[0]), reverse=True)
+    else:
+        entries.sort(key=lambda e: wrap(pack(e[0])), reverse=True)
+    return Polynomial(order, tuple(starmap(term_unchecked, entries)))
 
 
 def _check_orders(p: Polynomial, q: Polynomial) -> None:
@@ -82,7 +99,7 @@ def add(p: Polynomial, q: Polynomial) -> Polynomial:
             s = pt[i].coeff + qt[j].coeff
             adds += 1
             if s != 0:
-                out.append(Term(pt[i].degrees, s))
+                out.append(term_unchecked(pt[i].degrees, s))
             i += 1
             j += 1
     out.extend(pt[i:])
@@ -103,7 +120,7 @@ def scale(c: Coefficient, p: Polynomial) -> Polynomial:
     for t in p.terms:
         prod = c * t.coeff
         if prod != 0:
-            terms.append(Term(t.degrees, prod))
+            terms.append(term_unchecked(t.degrees, prod))
     return Polynomial(p.order, tuple(terms))
 
 
@@ -114,7 +131,7 @@ def term_mul(t: Term, p: Polynomial) -> Polynomial:
     for s in p.terms:
         prod = t.coeff * s.coeff
         if prod != 0:
-            terms.append(Term(ev_add(t.degrees, s.degrees), prod))
+            terms.append(term_unchecked(ev_add(t.degrees, s.degrees), prod))
     return Polynomial(p.order, tuple(terms))
 
 

@@ -32,6 +32,10 @@ position.  Coefficients are exact at any length: digit strings and integers
 beyond the interpreter's int-string digit limit are converted in pieces,
 without changing the limit.
 
+:func:`print_poly` looks each exponent's factor text up in a per-variable
+table (:func:`_factor_tables`, cached per variable set and bounded like the
+parser's exponent table) and joins a term's factors in C.
+
 Reading term streams: :func:`read_sorted` consumes a strictly decreasing
 stream with exactly n-1 comparisons and O(1) appends, falling back to
 geobucket accumulation the moment a violation is seen; :func:`read_naive`
@@ -48,7 +52,8 @@ from typing import Iterable
 from . import poly
 from .errors import CertificateFormatError, FormatError, ParseError
 from .geobucket import Geobucket
-from .monomial import ExponentVector, MonomialOrder, VariableSet, ev_compare, ev_make
+from .monomial import ExponentVector, MonomialOrder, VariableSet
+from .monomial import ev_compare, ev_make, ev_unchecked
 from .poly import Coefficient, Polynomial, Term, poly_from_terms
 from .verifier import Certificate
 
@@ -129,6 +134,9 @@ def _term_pattern(names: tuple[str, ...]) -> re.Pattern:
     )
 
 
+_TABLE_SIZE = 4096  # most entries kept by a factor table
+
+
 class _Exponents(dict):
     """Factor text -> exponent: None -> 0, "x" -> 1, "x^12" -> 12.  A miss
     is converted and, while the table is small, kept."""
@@ -136,7 +144,7 @@ class _Exponents(dict):
     def __missing__(self, factor: str) -> int:
         caret = factor.find("^")
         e = 1 if caret < 0 else _int(factor[caret + 1 :])
-        if len(self) < 4096 and len(factor) < 64:
+        if len(self) < _TABLE_SIZE and len(factor) < 64:
             self[factor] = e
         return e
 
@@ -164,7 +172,7 @@ def parse_poly(text: str, varset: VariableSet, order: MonomialOrder) -> Polynomi
         if sign == "-":
             coeff = -coeff
         exps = tuple(map(exponent, groups[3:]))
-        pairs.append((ExponentVector(exps, sum(exps)), coeff))
+        pairs.append((ev_unchecked(exps, sum(exps)), coeff))
         pos = m.end()
     if pos < end:
         _scan(text, pos, varset, pairs)
@@ -209,29 +217,51 @@ def _scan(text: str, pos: int, varset: VariableSet, pairs: list) -> None:
         pairs.append((ev_make(exps), coeff))
 
 
+class _Factors(dict):
+    """Exponent -> the factor text that follows a coefficient or factor:
+    0 -> "", 1 -> "*x", 12 -> "*x^12".  A miss is printed and, while the
+    table is small, kept."""
+
+    def __init__(self, name: str) -> None:
+        super().__init__({0: "", 1: "*" + name})
+        self.name = name
+
+    def __missing__(self, e: int) -> str:
+        digits = _str(e)
+        factor = f"*{self.name}^{digits}"
+        if len(self) < _TABLE_SIZE and len(digits) < 64:
+            self[e] = factor
+        return factor
+
+
+@lru_cache(maxsize=64)
+def _factor_tables(names: tuple[str, ...]) -> tuple[_Factors, ...]:
+    return tuple(map(_Factors, names))
+
+
 def print_poly(p: Polynomial, varset: VariableSet) -> str:
-    """Canonical descending text; reparses to an equal polynomial."""
+    """Canonical descending text; reparses to an equal polynomial.
+
+    Each variable's factor text is looked up, in C, in a table of that
+    variable's exponents (:func:`_factor_tables`)."""
     if not p.terms:
         return "0"
-    chunks = []
-    for k, t in enumerate(p.terms):
+    tables, factor = _factor_tables(varset.names), dict.__getitem__
+    chunks = []  # one string per term, so the peak stays one object a term
+    for t in p.terms:
         c = t.coeff
-        neg = c < 0
-        mag = -c if neg else c
-        factors = []
-        if mag != 1 or t.degrees.total == 0:
-            factors.append(format_coeff(mag))
-        for name, e in zip(varset.names, t.degrees.exponents):
-            if e == 1:
-                factors.append(name)
-            elif e > 1:
-                factors.append(f"{name}^{_str(e)}")
-        mono = "*".join(factors)
-        if k == 0:
-            chunks.append(f"-{mono}" if neg else mono)
+        mono = "".join(map(factor, tables, t.degrees.exponents))  # "*x^2*y"
+        if c < 0:
+            sign, c = " - ", -c
         else:
-            chunks.append(f"- {mono}" if neg else f"+ {mono}")
-    return " ".join(chunks)
+            sign = " + "
+        if c != 1 or not mono:
+            chunks.append(f"{sign}{format_coeff(c)}{mono}")
+        else:
+            chunks.append(f"{sign}{mono[1:]}")
+    first = chunks[0]
+    chunks[0] = f"-{first[3:]}" if first[1] == "-" else first[3:]
+    return "".join(chunks)
 
 
 def read_sorted(

@@ -7,7 +7,9 @@ from polycert import (
     VariableSet,
     format_certificate,
     mul_naive,
+    parse_certificate,
     parse_poly,
+    verify,
 )
 from polycert.cli import main
 
@@ -277,3 +279,19 @@ def test_mutated_certificates_exit_as_the_oracle_reads_them(
     for direction in ("max", "min"):
         code = main(["verify", "--direction", direction, "--cert", str(path)])
         assert code == {True: 0, False: 1, None: 2}[naive], text
+
+
+def test_stats_text_reports_the_measured_heap_peak(tmp_path, capsys):
+    lam = parse_poly("x^2 + 3*x*y + y + 1", XY, GRLEX)
+    g = parse_poly("x - 2*y^2 + 5", XY, GRLEX)
+    f = mul_naive(parse_poly("2", XY, GRLEX), mul_naive(lam, g))
+    cert = Certificate(XY, GRLEX, f, ((lam, g), (g, lam)))
+    path = tmp_path / "two_pairs.cert"
+    path.write_text(format_certificate(cert))
+    assert main(["stats", "--cert", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    result = verify(parse_certificate(path.read_text()))
+    assert result.valid
+    peak = result.stats.counters.heap_peak
+    assert peak > 0
+    assert f"heap_peak: {peak}" in lines

@@ -128,3 +128,19 @@ def test_variable_set_invariants():
         vs.index("w")
     with pytest.raises(DimensionError):
         vs.exponent_vector((1, 2, 3))
+
+
+def test_unchecked_exponent_vector_is_the_frozen_class():
+    from dataclasses import FrozenInstanceError
+
+    from polycert.monomial import ExponentVector, ev_unchecked
+
+    for exps in [(), (0,), (3, 0, 2), (10**40, 1, 0)]:
+        built, fast = ExponentVector(exps, sum(exps)), ev_unchecked(exps, sum(exps))
+        assert type(fast) is ExponentVector
+        assert fast == built and hash(fast) == hash(built) and repr(fast) == repr(built)
+        assert {built: 1}[fast] == 1
+        for field in ("exponents", "total"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(fast, field, getattr(built, field))
+        assert fast == built

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycert import count_ops, ev_add, ev_make, mul_heap, poly_from_terms
-from polycert.counters import CountingKey, key_factory
+from polycert.counters import CountingKey, key_factory, tally
 from polycert.errors import DimensionError
 from polycert.heapmul import merge_products
 from polycert.monomial import ev_compare, key_packer
@@ -232,3 +232,23 @@ def test_packed_key_is_the_base_b_reading_of_the_order_key(order, batch, summand
         for digit in order.key(ev):
             k = (k << shift) + digit
         assert pack(ev) == k
+
+
+def test_merge_tallies_per_yield_only_inside_a_scope(monkeypatch):
+    from polycert import heapmul
+
+    f, g = (poly_from_terms(GREVLEX, half) for half in fixed_halves(GREVLEX))
+    calls = []
+
+    def counted_tally(*counts):
+        calls.append(counts)
+        return tally(*counts)
+
+    monkeypatch.setattr(heapmul, "tally", counted_tally)
+    product = mul_heap(f, g)
+    assert len(calls) == 1  # the final tally, into no scope
+    calls.clear()
+    with count_ops() as c:
+        assert mul_heap(f, g) == product
+    assert len(calls) == len(product.terms) + 1
+    assert c.heap_extractions == sum(counts[2] for counts in calls)

@@ -187,3 +187,19 @@ def test_value_semantics_at_random_points(rng):
         point = tuple(rng.randrange(-3, 4) for _ in range(3))
         assert evaluate(add(p, q), point) == evaluate(p, point) + evaluate(q, point)
         assert evaluate(mul_naive(p, q), point) == evaluate(p, point) * evaluate(q, point)
+
+
+def test_unchecked_term_is_the_frozen_class():
+    from dataclasses import FrozenInstanceError
+
+    from polycert.poly import Term, term_unchecked
+
+    for exps, c in [((0, 0), 1), ((2, 5), -7), ((1, 0), Fraction(-3, 4))]:
+        ev = ev_make(exps)
+        built, fast = Term(ev, c), term_unchecked(ev, c)
+        assert type(fast) is Term
+        assert fast == built and hash(fast) == hash(built) and repr(fast) == repr(built)
+        for field in ("degrees", "coeff"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(fast, field, getattr(built, field))
+        assert fast == built

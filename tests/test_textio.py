@@ -447,3 +447,86 @@ def test_mutated_text_reads_as_the_general_scan_alone_reads_it(drawn, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(textio, "_term_pattern", lambda names: _NEVER)
         assert got == _outcome(mutated, vs, p.order)
+
+
+# -- the table-driven printer ---------------------------------------------------
+
+from hypothesis import example  # noqa: E402
+
+from polycert import Polynomial, Term  # noqa: E402
+from polycert.textio import _str, format_coeff  # noqa: E402
+
+
+def _print_per_term(p, varset):
+    """print_poly as a plain per-term, per-variable loop: the reference."""
+    if not p.terms:
+        return "0"
+    chunks = []
+    for k, t in enumerate(p.terms):
+        c = t.coeff
+        neg = c < 0
+        mag = -c if neg else c
+        factors = []
+        if mag != 1 or t.degrees.total == 0:
+            factors.append(format_coeff(mag))
+        for name, e in zip(varset.names, t.degrees.exponents):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{_str(e)}")
+        mono = "*".join(factors)
+        if k == 0:
+            chunks.append(f"-{mono}" if neg else mono)
+        else:
+            chunks.append(f"- {mono}" if neg else f"+ {mono}")
+    return " ".join(chunks)
+
+
+_PRINTER_VARSETS = [VariableSet(("x", "x1", "xx", "x_1")), PQXYZ]
+
+
+@st.composite
+def _polys_to_print(draw):
+    vs = draw(st.sampled_from(_PRINTER_VARSETS))
+    order = draw(st.sampled_from(ORDERS))
+    exps = st.tuples(*[_EXPONENT] * len(vs))
+    terms = draw(st.lists(st.tuples(exps, _COEFF), max_size=6))
+    return vs, poly_from_terms(order, [(ev_make(e), c) for e, c in terms])
+
+
+def _one_term(vs, exps, coeff):
+    return vs, poly_from_terms(GRLEX, [(ev_make(exps), coeff)])
+
+
+@given(drawn=_polys_to_print())
+@settings(max_examples=300, deadline=None)
+@example(drawn=(PQXYZ, zero(GRLEX)))
+@example(drawn=_one_term(PQXYZ, (0,) * 5, 7))
+@example(drawn=_one_term(PQXYZ, (0,) * 5, -1))
+@example(drawn=_one_term(PQXYZ, (0,) * 5, Fraction(-3, 4)))
+@example(drawn=_one_term(PQXYZ, (1, 0, 10**40, 0, 10**4400 + 3), -BIG))
+@example(drawn=(PQXYZ, poly_from_terms(MonomialOrder.LEX, [
+    (ev_make((2, 0, 0, 0, 1)), -1),
+    (ev_make((0, 1, 0, 0, 0)), 1),
+    (ev_make((0,) * 5), 1),
+])))
+def test_print_matches_the_per_term_loop(drawn):
+    vs, p = drawn
+    assert print_poly(p, vs) == _print_per_term(p, vs)
+
+
+def test_factor_tables_stay_within_their_bound():
+    n = 10**5
+    vs = VariableSet(("x", "y"))
+    terms = tuple(
+        Term(ev_make((e, n - e)), 1 if e % 2 else -1) for e in range(n, -1, -1)
+    )
+    p = Polynomial(GRLEX, terms)
+    assert print_poly(p, vs) == _print_per_term(p, vs)
+    tables = textio._factor_tables(vs.names)
+    assert [len(t) for t in tables] == [textio._TABLE_SIZE] * 2
+    # a long exponent is printed but not kept
+    u = VariableSet(("u_printed_once",))
+    huge = Polynomial(GRLEX, (Term(ev_make((10**4400 + 3,)), 1),))
+    assert print_poly(huge, u) == _print_per_term(huge, u)
+    assert len(textio._factor_tables(u.names)[0]) == 2  # 0 and 1, filled at start
