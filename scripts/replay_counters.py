@@ -13,9 +13,11 @@ and records, each in its own ``count_ops`` scope:
 - ``combine``
 
 A record is the call's output in canonical form plus every ``OpCounters``
-field.  The script prints the record count and the SHA-256 digest of all
-records, so two checkouts that print the same line agree on every output and
-every counter:
+field.  Each ``verify`` record is also checked against an unscoped
+``find_witness`` call, which must return the same witness; a mismatch stops
+the script with an ``AssertionError``.  The script prints the record count
+and the SHA-256 digest of all records, so two checkouts that print the same
+line agree on every output and every counter:
 
     python3 scripts/replay_counters.py [--seeds N]
 
@@ -46,6 +48,7 @@ from polycert import (  # noqa: E402
     combine,
     count_ops,
     ev_make,
+    find_witness,
     gb_new,
     mul_heap,
     mul_heap_gb,
@@ -128,8 +131,11 @@ def replay(seed: int):
     corrupt = Certificate(varset, order, Polynomial(order, tuple(bad)), pairs)
     for label, cert in (("valid", valid), ("corrupt", corrupt)):
         for direction in ScanDirection:
-            yield scoped(f"verify.{label}.{direction.value}",
-                         lambda: verify(cert, direction))
+            record = scoped(f"verify.{label}.{direction.value}",
+                            lambda: verify(cert, direction))
+            if find_witness(cert, direction) != record[1].witness:
+                raise AssertionError(f"seed {seed}: find_witness is not {record[0]}")
+            yield record
 
     stop = rng.randint(0, 5)
 

@@ -52,6 +52,7 @@ from .verifier import (
     ScanDirection,
     VerifyResult,
     combine,
+    find_witness,
     verify,
     verify_naive,
 )
@@ -78,6 +79,7 @@ __all__ = [
     "ev_add",
     "ev_compare",
     "ev_make",
+    "find_witness",
     "format_certificate",
     "format_recursive",
     "gb_new",

@@ -9,6 +9,10 @@ Subcommands::
     convert  reprint a polynomial, distributed or recursive (dense/sparse)
     stats    run verify or mul under instrumentation and report counters
 
+``verify`` prints only the verdict and the witness, so it runs the
+verifier's uncounted :func:`~polycert.verifier.find_witness`; ``stats``
+counts.
+
 Polynomial files contain one expression in the textio grammar; variables
 and order come from --vars/--order flags.  Certificate files carry their
 own header.  Output is canonical descending text, so runs are byte-exact.
@@ -27,7 +31,7 @@ from .geobucket import Geobucket
 from .heapmul import GbRoute, mul_heap, mul_heap_gb
 from .monomial import MonomialOrder, VariableSet
 from .recursive import RecursionMode, format_recursive, to_recursive
-from .verifier import ScanDirection, verify
+from .verifier import ScanDirection, find_witness, verify
 
 _ORDER_NAMES = sorted(o.value for o in MonomialOrder)
 _DIRECTIONS = [d.value for d in ScanDirection]
@@ -155,12 +159,12 @@ def main(argv=None) -> int:
 def _dispatch(args) -> int:
     if args.command == "verify":
         cert = textio.parse_certificate(_read(args.cert))
-        result = verify(cert, ScanDirection(args.direction))
-        if result.valid:
+        witness = find_witness(cert, ScanDirection(args.direction))
+        if witness is None:
             sys.stdout.write("valid\n")
             return 0
         sys.stdout.write("invalid\n")
-        sys.stdout.write(_witness_line(result.witness, cert.varset))
+        sys.stdout.write(_witness_line(witness, cert.varset))
         return 1
 
     if args.command == "mul":

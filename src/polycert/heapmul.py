@@ -2,7 +2,10 @@
 
 :func:`merge_products` is Johnson's (1974) merge of unevaluated products on
 the chained heap of Monagan & Pearce (ISSAC 2009).  Given pairs (a_k, b_k)
-it yields the terms of sum_k a_k * b_k in scan order.  Each term of a_k
+it yields the terms of sum_k a_k * b_k in scan order.  It is two steps:
+:func:`merge_sources` packs every term's key once, and
+:func:`merge_streams` runs the loop on those keys, so a caller may read the
+keys between the two (the verifier checks descent on them).  Each term of a_k
 seeds one stream a_k[i] * b_k whose cursor walks b_k's term list, so "the
 rest of b_k" costs nothing to represent.  A stream entry is keyed by the sum
 of the packed keys (:func:`key_packer`) of its next product's factors, so no
@@ -30,8 +33,8 @@ Every product in the package is a thin consumer of the engine:
 #f*#g extractions; the geobucket routes of :func:`mul_heap_gb` convert the
 geobucket to a list first, stream each nonempty bucket as its own pair (up
 to #f * #buckets streams), or fold small buckets into one list and stream
-the large ones; the certificate verifier merges (f_i, lambda_i) for every
-pair.
+the large ones; the certificate verifier checks the sources of (f_i,
+lambda_i) for every pair and of (-1, f), then merges them.
 """
 
 from __future__ import annotations
@@ -114,9 +117,27 @@ def merge_products(
     consumer that stops early has extracted exactly the entries at or before
     its last term.  Counts are tallied once at the end and, while a scope
     was open at the last resume, right before each yield, so they land in
-    the scopes open while their work was done.
+    the scopes open while their work was done.  The keys are packed at the
+    call, and the loop starts at the first request.
     """
-    sources = []  # per pair: a_k terms, b_k terms in scan order, their keys
+    return merge_streams(merge_sources(pairs, order, descending))
+
+
+def merge_sources(
+    pairs: Iterable[tuple[Polynomial, Polynomial]],
+    order: MonomialOrder,
+    descending: bool = True,
+) -> list[list]:
+    """The set-up of :func:`merge_products`: one source per pair whose b_k
+    has terms, ``[a_k terms, b_k terms in scan order, their signed keys]``.
+
+    Every term is packed once, by one :func:`key_packer` over all of them
+    (so exponent vectors of mixed lengths raise ``DimensionError``).  A key
+    is the packed int, negated when `descending`, so it rises along b_k's
+    scan-order list when b_k is sorted strictly descending, and so does a_k's
+    list max-first; min-first, a_k's keys fall.  Counts nothing.
+    """
+    sources = []
     for a, b in pairs:
         bt = b.terms if descending else b.terms[::-1]
         if bt:
@@ -125,6 +146,11 @@ def merge_products(
     sign = -1 if descending else 1
     for s in sources:
         s += [[sign * pack(t.degrees) for t in ts] for ts in s]
+    return sources
+
+
+def merge_streams(sources: list[list]) -> Iterator[tuple[ExponentVector, Coefficient]]:
+    """The loop of :func:`merge_products` over :func:`merge_sources`' sources."""
     port = CountedHeap()
     counted = port.pop, port.push, port.replace
     scopes = _scopes.get

@@ -19,8 +19,9 @@ Certificate files are line-oriented UTF-8 with exact section labels::
     lambda[2]: <poly>
     g[2]: <poly>
 
-Blank lines and lines starting with '#' are ignored.  Long polynomials may
-continue on following lines until the next label.
+N is written in ASCII digits.  Blank lines and lines starting with '#' are
+ignored.  Long polynomials may continue on following lines until the next
+label.
 
 :func:`parse_poly` reads the text left to right.  A canonical term, written
 as :func:`print_poly` writes it, takes one match of a pattern compiled once
@@ -339,10 +340,10 @@ def parse_certificate(text: str) -> Certificate:
         order = MonomialOrder(order_name)
     except ValueError:
         raise CertificateFormatError(f"unknown order {order_name!r}") from None
-    try:
-        n = int(sections["N"])
-    except ValueError:
-        raise CertificateFormatError(f"bad N: {sections['N']!r}") from None
+    n_text = sections["N"]
+    if not (n_text.isascii() and n_text.isdigit()):  # int() takes "+1" and "1_0"
+        raise CertificateFormatError(f"bad N: {n_text!r}")
+    n = _int(n_text)
     if n < 1:
         raise CertificateFormatError(f"N must be >= 1, got {n}")
     f = parse_poly(sections["f"], varset, order)

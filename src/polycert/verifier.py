@@ -12,20 +12,31 @@ residual monomial in scan direction is the witness, and the merge stops there.
 ``max_first`` scans from the greatest monomial down; ``min_first`` inverts
 every comparison and walks the term lists from their trailing ends, which
 finds an error faster when the discrepancy sits at the small end.
+
+A certificate is checked before the merge, on the keys the merge's set-up
+(:func:`~polycert.heapmul.merge_sources`) packs anyway: one order, one
+dimension, and every polynomial strictly decreasing.  A malformed one raises
+:class:`CertificateFormatError`; :func:`verify`, :func:`combine` and
+:func:`verify_naive` share that check.  :func:`find_witness` is the check
+and the merge alone and opens no counter scope, so run with none open it
+counts nothing; :func:`verify` is that call inside :func:`count_ops`, and
+returns the counts with the verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, starmap
+from operator import gt, lt
 from typing import Optional
 
 from . import poly
 from .counters import OpCounters, count_ops
-from .errors import CertificateFormatError
-from .heapmul import _collect, merge_products
+from .errors import CertificateFormatError, DimensionError
+from .heapmul import merge_sources, merge_streams
 from .monomial import ExponentVector, MonomialOrder, VariableSet, ev_make
-from .poly import Coefficient, Polynomial, Term
+from .poly import Coefficient, Polynomial, Term, term_unchecked
 
 
 class ScanDirection(Enum):
@@ -54,32 +65,61 @@ class VerifyResult:
     stats: VerifyStats
 
 
-def check_certificate(cert: Certificate) -> None:
-    n = len(cert.varset)
+def _checked_sources(cert: Certificate, descending: bool, residual: bool) -> list[list]:
+    """Set up the merge of sum lambda_i f_i, with (-1)*f as its last source
+    when `residual`, and check `cert` on the keys that set-up packs.
+
+    One packer keys every nonempty polynomial of `cert`: those the merge
+    streams and, for this check alone, each f_i beside an empty lambda_i (and
+    f unless `residual`), set up as one more source whose stream factor is
+    the constant -1, so its dimension is checked too; these are dropped from
+    the result.  Strictly decreasing terms give keys that rise along every
+    list but a stream factor's min-first, whose keys fall
+    (:func:`~polycert.heapmul.merge_sources`).  The kernels validate nothing.
+    """
     if not cert.pairs:
         raise CertificateFormatError("certificate needs at least one pair")
-    for p in [cert.f] + [q for pair in cert.pairs for q in pair]:
-        if p.order is not cert.order:
-            raise CertificateFormatError("mixed monomial orders in certificate")
-        for t in p.terms:
-            if len(t.degrees.exponents) != n:
-                raise CertificateFormatError("mixed dimensions in certificate")
-        keys = [cert.order.key(t.degrees) for t in p.terms]  # tuple `<` ticks nothing
-        if any(a <= b for a, b in zip(keys, keys[1:])):
+    if any(p.order is not cert.order for p in (cert.f, *chain(*cert.pairs))):
+        raise CertificateFormatError("mixed monomial orders in certificate")
+    n = len(cert.varset)
+    minus_one = Polynomial(cert.order, (Term(ev_make((0,) * n), -1),))
+    pairs = [(f_i, lam_i) for lam_i, f_i in cert.pairs]
+    idle = [f_i for lam_i, f_i in cert.pairs if not lam_i.terms]
+    if residual:
+        pairs.append((minus_one, cert.f))
+    else:
+        idle.append(cert.f)
+    idle = [(minus_one, p) for p in idle if p.terms]
+    try:
+        sources = merge_sources(pairs + idle, cert.order, descending)
+    except DimensionError:
+        raise CertificateFormatError("mixed dimensions in certificate") from None
+    if sources and len(sources[0][1][0].degrees.exponents) != n:
+        raise CertificateFormatError("mixed dimensions in certificate")
+    a_rises = lt if descending else gt
+    for _, _, ka, kb in sources:
+        if not (all(map(lt, kb, kb[1:])) and all(map(a_rises, ka, ka[1:]))):
             raise CertificateFormatError("certificate terms not strictly decreasing")
+    return sources[: len(sources) - len(idle)]
+
+
+def find_witness(
+    cert: Certificate, direction: ScanDirection = ScanDirection.MAX_FIRST
+) -> Optional[tuple[ExponentVector, Coefficient]]:
+    """The first nonzero term of (-1)f + sum lambda_i f_i in scan order, or
+    None when the certificate holds.  Opens no counter scope, so with none
+    open the merge sifts with C heapq and counts nothing."""
+    sources = _checked_sources(cert, direction is ScanDirection.MAX_FIRST, True)
+    # the first nonzero residual term is the witness; the merge stops there
+    return next(merge_streams(sources), None)
 
 
 def verify(
     cert: Certificate, direction: ScanDirection = ScanDirection.MAX_FIRST
 ) -> VerifyResult:
-    """Check 0 = (-1)f + sum lambda_i f_i by a single streaming merge."""
-    check_certificate(cert)
-    minus_one = Polynomial(cert.order, (Term(ev_make((0,) * len(cert.varset)), -1),))
-    pairs = [(f_i, lam_i) for lam_i, f_i in cert.pairs] + [(minus_one, cert.f)]
-    descending = direction is ScanDirection.MAX_FIRST
+    """Check 0 = (-1)f + sum lambda_i f_i by a single streaming merge, counted."""
     with count_ops() as counters:
-        # the first nonzero residual term is the witness; the merge stops there
-        witness = next(merge_products(pairs, cert.order, descending), None)
+        witness = find_witness(cert, direction)
     input_terms = len(cert.f.terms) + sum(
         len(lam.terms) + len(g.terms) for lam, g in cert.pairs
     )
@@ -89,13 +129,13 @@ def verify(
 
 def combine(cert: Certificate) -> Polynomial:
     """Materialize sum lambda_i f_i term by term, greatest monomial first."""
-    check_certificate(cert)
-    return _collect(cert.order, [(f_i, lam_i) for lam_i, f_i in cert.pairs])
+    terms = merge_streams(_checked_sources(cert, True, False))
+    return Polynomial(cert.order, tuple(starmap(term_unchecked, terms)))
 
 
 def verify_naive(cert: Certificate) -> VerifyResult:
     """Oracle verification by plain arithmetic: materialize the residual."""
-    check_certificate(cert)
+    _checked_sources(cert, True, True)
     with count_ops() as counters:
         residual = poly.negate(cert.f)
         peak = len(residual.terms)

@@ -4,6 +4,7 @@ import polycert.cli
 from polycert import (
     Certificate,
     MonomialOrder,
+    ScanDirection,
     VariableSet,
     format_certificate,
     mul_naive,
@@ -64,7 +65,7 @@ def test_internal_error_is_not_a_verdict(cert_files, capsys, monkeypatch):
     def crash(*args):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(polycert.cli, "verify", crash)
+    monkeypatch.setattr(polycert.cli, "find_witness", crash)
     good, _ = cert_files
     assert main(["verify", "--cert", str(good)]) == 3
     assert "internal error: RuntimeError: boom" in capsys.readouterr().err
@@ -295,3 +296,44 @@ def test_stats_text_reports_the_measured_heap_peak(tmp_path, capsys):
     peak = result.stats.counters.heap_peak
     assert peak > 0
     assert f"heap_peak: {peak}" in lines
+
+
+def test_unobserved_verify_counts_nothing(cert_files, capsys, monkeypatch):
+    from polycert import counters, heapmul, poly
+    from polycert.heapmul import CountedHeap
+
+    def refuse_in_scope(fn):
+        def refusing(*args, **kwargs):
+            if counters._scopes.get():
+                raise AssertionError(f"{fn.__qualname__} inside a scope")
+            return fn(*args, **kwargs)
+        return refusing
+
+    expected = {}
+    with monkeypatch.context() as m:
+        for name in ("push", "pop", "replace"):
+            m.setattr(CountedHeap, name, refuse_in_scope(getattr(CountedHeap, name)))
+        for module in (counters, heapmul, poly):
+            m.setattr(module, "tally", refuse_in_scope(counters.tally))
+        for path in cert_files:
+            for direction in ("max", "min"):
+                code = main(["verify", "--direction", direction, "--cert", str(path)])
+                expected[path, direction] = code, capsys.readouterr().out
+    good, bad = cert_files
+    for direction in ("max", "min"):
+        assert expected[good, direction] == (0, "valid\n")
+        assert expected[bad, direction] == (1, "invalid\nwitness: 1 -1\n")
+    # stats --cert still counts, and prints what verify(...).stats holds
+    for path in cert_files:
+        for direction in ("max", "min"):
+            cert = parse_certificate(path.read_text())
+            stats = verify(cert, ScanDirection(direction)).stats
+            c = stats.counters
+            assert c.comparisons > 0
+            assert main(["stats", "--direction", direction, "--cert", str(path)]) == 0
+            assert capsys.readouterr().out.splitlines()[2:] == [
+                f"comparisons: {c.comparisons}", f"coeff_adds: {c.coeff_adds}",
+                f"coeff_muls: {c.coeff_muls}",
+                f"heap_extractions: {c.heap_extractions}",
+                f"heap_peak: {c.heap_peak}", f"peak_terms: {stats.peak_terms}",
+            ]

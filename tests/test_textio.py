@@ -381,6 +381,15 @@ def test_certificate_section_never_read_is_rejected(label):
     assert label in str(e.value)
 
 
+@pytest.mark.parametrize("n", ["+1", "\u0661", "1_0", "1.0", "0x1"])
+def test_certificate_count_is_ascii_digits(n):
+    # int() reads "+1" and the Arabic-Indic one as 1, and "1_0" as 10
+    text = f"vars: x\norder: grlex\nN: {n}\nf: x^2 - 1\nlambda[1]: x + 1\ng[1]: x - 1\n"
+    with pytest.raises(CertificateFormatError, match=r"^bad N: "):
+        parse_certificate(text)
+    assert len(parse_certificate(text.replace(f"N: {n}", "N: 01")).pairs) == 1
+
+
 # -- the canonical loop and the general scan ----------------------------------
 
 import re  # noqa: E402

@@ -332,6 +332,13 @@ def test_unsorted_terms_rejected_at_the_boundary():
         Certificate(x, GRLEX, Polynomial(GRLEX, f.terms[::-1]), ((lam, g),)),
         Certificate(x, GRLEX, f, ((Polynomial(GRLEX, lam.terms[::-1]), g),)),
         Certificate(x, GRLEX, f, ((lam, Polynomial(GRLEX, g.terms[:1] * 2)),)),
+        # lambda_i = 0 streams nothing, so f_i is checked beside the merge
+        Certificate(x, GRLEX, f, ((lam, g), (zero(GRLEX), Polynomial(GRLEX, g.terms[::-1])))),
+        Certificate(x, GRLEX, f, ((lam, g), (zero(GRLEX), Polynomial(GRLEX, g.terms[:1] * 2)))),
+        Certificate(XY, GRLEX, parse_poly("x^2 - 1", XY, GRLEX), (
+            (parse_poly("x + 1", XY, GRLEX), parse_poly("x - 1", XY, GRLEX)),
+            (zero(GRLEX), Polynomial(GRLEX, parse_poly("x - y", XY, GRLEX).terms[::-1])),
+        )),
     ]
     checks = [verify, partial(verify, direction=ScanDirection.MIN_FIRST),
               combine, verify_naive]
@@ -361,3 +368,21 @@ def test_zero_coefficient_in_f_checked_alike_by_all_three():
     invalid = Certificate(x, GRLEX, f0, ((parse_poly("x + 2", x, GRLEX), g),))
     witnesses = [check(invalid).witness for check in checks]
     assert [(ev.exponents, c) for ev, c in witnesses] == [((1,), 1), ((0,), -1), ((1,), 1)]
+
+
+def test_dimension_checked_where_nothing_is_streamed():
+    x = VariableSet(("x",))
+    lam, g = parse_poly("x + 1", x, GRLEX), parse_poly("x - 1", x, GRLEX)
+    f = parse_poly("x^2 - 1", x, GRLEX)
+    wide = parse_poly("x - y", XY, GRLEX)  # exponent vectors of length 2
+    bad = [
+        Certificate(x, GRLEX, f, ((lam, g), (zero(GRLEX), wide))),  # beside lambda = 0
+        Certificate(x, GRLEX, zero(GRLEX), ((wide, wide),)),  # f = 0: no -1 streamed
+        Certificate(x, GRLEX, zero(GRLEX), ((zero(GRLEX), wide),)),
+    ]
+    checks = [verify, partial(verify, direction=ScanDirection.MIN_FIRST),
+              combine, verify_naive]
+    for cert in bad:
+        for check in checks:
+            with pytest.raises(CertificateFormatError, match="mixed dimensions"):
+                check(cert)
