@@ -57,12 +57,10 @@ def _build_parser() -> argparse.ArgumentParser:
     m = sub.add_parser("mul", help="multiply two polynomials")
     poly_flags(m)
     m.add_argument("--engine", default="heap", choices=["naive", "heap"])
-    m.add_argument("--c", type=int, default=4, help="geobucket growth factor")
     m.add_argument(
         "--route", default="convert", choices=[r.value for r in GbRoute],
         help="geobucket route when the second input is accumulated",
     )
-    m.add_argument("--threshold", type=int, default=16, help="hybrid route threshold")
     m.add_argument("--geobucket", action="store_true",
                    help="accumulate the second input into a geobucket and use --route")
     m.add_argument("inputs", nargs=2)
@@ -172,9 +170,9 @@ def _dispatch(args) -> int:
         if args.engine == "naive":
             prod = poly.mul_naive(p, q)
         elif args.geobucket:
-            gb = Geobucket(order, args.c)
+            gb = Geobucket(order)
             gb.add(q)
-            prod = mul_heap_gb(p, gb, GbRoute(args.route), args.threshold)
+            prod = mul_heap_gb(p, gb, args.route)
         else:
             prod = mul_heap(p, q)
         _emit(textio.print_poly(prod, varset) + "\n", args.output)

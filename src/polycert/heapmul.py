@@ -3,22 +3,22 @@
 :func:`merge_products` is Johnson's (1974) merge of unevaluated products on
 the chained heap of Monagan & Pearce (ISSAC 2009).  Given pairs (a_k, b_k)
 it yields the terms of sum_k a_k * b_k in scan order.  It is two steps:
-:func:`merge_sources` packs every term's key once, and
-:func:`merge_streams` runs the loop on those keys, so a caller may read the
-keys between the two (the verifier checks descent on them).  Each term of a_k
-seeds one stream a_k[i] * b_k whose cursor walks b_k's term list, so "the
-rest of b_k" costs nothing to represent.  A stream entry is keyed by the sum
-of the packed keys (:func:`key_packer`) of its next product's factors, so no
-monomial is built before it is yielded.  The heap holds each distinct key
-once, as a plain int, and a dict chains to it every entry at that key.  A
-step takes the least key's whole chain and sums its products, so each
-yielded term is final and the output is built by O(1) appends; each
-entry's successor joins the chain at its key, and a new key takes the spent
-key's heap slot (heapreplace) or is pushed.  Every stream entry is
-extracted exactly once.  Outside a counter scope C heapq sifts the keys;
-inside one, :class:`CountedHeap`, a line-for-line port of heapq's push, pop
-and replace, makes the same comparisons and counts every one in a local
-int.  That count and every other one (extractions, products, sums) are
+:func:`merge_sources`, which every merge in the package passes, packs every
+term's key once and checks every input on those keys (one order, one
+dimension, strict descent), and :func:`merge_streams` runs the loop on them
+and checks nothing.  Each term of a_k seeds one stream a_k[i] * b_k whose
+cursor walks b_k's term list, so "the rest of b_k" costs nothing to
+represent.  A stream entry is keyed by the sum of the packed keys
+(:func:`key_packer`) of its next product's factors, so no monomial is built
+before it is yielded.  The heap holds each distinct key once, as a plain
+int, and a dict chains to it every entry at that key.  A step takes the
+least key's whole chain and sums its products, so each yielded term is final
+and the output is built by O(1) appends; each entry's successor joins the
+chain at its key, and a new key takes the spent key's heap slot
+(heapreplace) or is pushed.  Every stream entry is extracted exactly once.
+Outside a counter scope C heapq sifts the keys; inside one,
+:class:`CountedHeap`, a line-for-line port of heapq's push, pop and replace,
+makes the same comparisons and counts every one in a local int.  That count and every other one (extractions, products, sums) are
 tallied once at the end, and right before each yielded term only while a
 scope was open at the last resume; with none open, the counts since then
 belong to no scope and are dropped, so an unscoped merge makes one
@@ -33,8 +33,8 @@ Every product in the package is a thin consumer of the engine:
 #f*#g extractions; the geobucket routes of :func:`mul_heap_gb` convert the
 geobucket to a list first, stream each nonempty bucket as its own pair (up
 to #f * #buckets streams), or fold small buckets into one list and stream
-the large ones; the certificate verifier checks the sources of (f_i,
-lambda_i) for every pair and of (-1, f), then merges them.
+the large ones; the certificate verifier sets up (f_i, lambda_i) for every
+pair and (-1, f), then merges them.
 """
 
 from __future__ import annotations
@@ -42,12 +42,12 @@ from __future__ import annotations
 from enum import Enum
 from heapq import heappop, heappush, heapreplace
 from itertools import starmap
-from operator import add
+from operator import add, gt, lt
 from typing import Iterable, Iterator
 
 from . import poly
 from .counters import _scopes, tally
-from .errors import OrderMismatchError
+from .errors import FormatError, OrderMismatchError
 from .geobucket import Geobucket
 from .monomial import ExponentVector, MonomialOrder, ev_unchecked, key_packer
 from .poly import Coefficient, Polynomial, term_unchecked
@@ -117,8 +117,8 @@ def merge_products(
     consumer that stops early has extracted exactly the entries at or before
     its last term.  Counts are tallied once at the end and, while a scope
     was open at the last resume, right before each yield, so they land in
-    the scopes open while their work was done.  The keys are packed at the
-    call, and the loop starts at the first request.
+    the scopes open while their work was done.  The inputs are checked and
+    their keys packed at the call, and the loop starts at the first request.
     """
     return merge_streams(merge_sources(pairs, order, descending))
 
@@ -128,24 +128,30 @@ def merge_sources(
     order: MonomialOrder,
     descending: bool = True,
 ) -> list[list]:
-    """The set-up of :func:`merge_products`: one source per pair whose b_k
-    has terms, ``[a_k terms, b_k terms in scan order, their signed keys]``.
+    """The set-up of :func:`merge_products`: one source per pair with no
+    empty side, ``[a_k terms, b_k terms in scan order, their signed keys]``.
 
-    Every term is packed once, by one :func:`key_packer` over all of them
-    (so exponent vectors of mixed lengths raise ``DimensionError``).  A key
-    is the packed int, negated when `descending`, so it rises along b_k's
-    scan-order list when b_k is sorted strictly descending, and so does a_k's
-    list max-first; min-first, a_k's keys fall.  Counts nothing.
+    Every polynomial of every pair, empty or not, must be in `order` (else
+    ``OrderMismatchError``), of one dimension (one :func:`key_packer` packs
+    every term, else ``DimensionError``) and strictly decreasing (else
+    ``FormatError``): a key is the packed int, negated when `descending`, so
+    it rises along b_k's scan-order list, and along a_k's max-first;
+    min-first, a_k's keys fall.  Counts nothing.
     """
-    sources = []
+    lists = []
     for a, b in pairs:
-        bt = b.terms if descending else b.terms[::-1]
-        if bt:
-            sources.append([a.terms, bt])
-    pack = key_packer(order, [t.degrees for s in sources for ts in s for t in ts], 2)
-    sign = -1 if descending else 1
-    for s in sources:
-        s += [[sign * pack(t.degrees) for t in ts] for ts in s]
+        if a.order is not order or b.order is not order:
+            raise OrderMismatchError(f"{a.order}, {b.order} in a {order} merge")
+        lists.append([a.terms, b.terms if descending else b.terms[::-1]])
+    pack = key_packer(order, [t.degrees for s in lists for ts in s for t in ts], 2)
+    sign, a_rises = (-1, lt) if descending else (1, gt)
+    sources = []
+    for s in lists:
+        ka, kb = ([sign * pack(t.degrees) for t in ts] for ts in s)
+        if not (all(map(lt, kb, kb[1:])) and all(map(a_rises, ka, ka[1:]))):
+            raise FormatError("terms not strictly decreasing")
+        if ka and kb:
+            sources.append(s + [ka, kb])
     return sources
 
 
@@ -203,29 +209,27 @@ class GbRoute(Enum):
     HYBRID = "hybrid"
 
 
-def _collect(
-    order: MonomialOrder, pairs: list[tuple[Polynomial, Polynomial]]
-) -> Polynomial:
-    terms = merge_products(pairs, order)
-    return Polynomial(order, tuple(starmap(term_unchecked, terms)))
+def collect(order: MonomialOrder, sources: list[list]) -> Polynomial:
+    """The polynomial of the terms :func:`merge_streams` yields from `sources`."""
+    return Polynomial(order, tuple(starmap(term_unchecked, merge_streams(sources))))
 
 
 def mul_heap(f: Polynomial, g: Polynomial) -> Polynomial:
     """Johnson multiplication: f supplies the streams, g the term list."""
-    if f.order is not g.order:
-        raise OrderMismatchError(f"{f.order} vs {g.order}")
-    return _collect(f.order, [(f, g)])
+    return collect(f.order, merge_sources([(f, g)], f.order))
 
 
 def mul_heap_gb(
     f: Polynomial,
     g: Geobucket,
-    route: GbRoute = GbRoute.CONVERT_FIRST,
+    route: GbRoute | str = GbRoute.CONVERT_FIRST,
     hybrid_threshold: int = 16,
 ) -> Polynomial:
-    """Multiply f by the value of a geobucket without caller-side conversion."""
-    if f.order is not g.order:
+    """Multiply f by the value of a geobucket without caller-side conversion,
+    by `route`, a :class:`GbRoute` or its value (any other: ValueError)."""
+    if f.order is not g.order:  # an empty geobucket gives the set-up no pair
         raise OrderMismatchError(f"{f.order} vs {g.order}")
+    route = GbRoute(route)
     if route is GbRoute.CONVERT_FIRST:
         return mul_heap(f, g.normalize())
     if route is GbRoute.PER_BUCKET_STREAMS:
@@ -242,4 +246,4 @@ def mul_heap_gb(
                 lists.append(bk)
         if small.terms:
             lists.append(small)
-    return _collect(f.order, [(f, bk) for bk in lists])
+    return collect(f.order, merge_sources([(f, bk) for bk in lists], f.order))

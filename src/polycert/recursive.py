@@ -33,10 +33,10 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import DomainError, StructureError
+from .errors import DomainError, FormatError, StructureError
 from .monomial import MonomialOrder, VariableSet, ev_make
-from .poly import Coefficient, Polynomial, poly_from_terms
-from .textio import format_coeff
+from .poly import Coefficient, Polynomial, Term, poly_from_terms
+from .textio import format_coeff, print_poly
 
 
 class RecursionMode(Enum):
@@ -119,7 +119,9 @@ def to_recursive(
             while vi < len(varset.names) and all(e[vi] == 0 for e, _ in entries):
                 vi += 1
         if vi == len(varset.names):
-            assert len(entries) == 1
+            if len(entries) > 1:  # every variable read: one monomial
+                mono = Polynomial(p.order, (Term(ev_make(entries[0][0]), 1),))
+                raise FormatError(f"repeated monomial {print_poly(mono, varset)}")
             return Const(entries[0][1])
         groups: dict[int, list] = {}
         for e, c in entries:

@@ -61,11 +61,11 @@ from .verifier import Certificate
 # A term is a head (sign, integer, '/' denominator; each optional), then
 # factors joined by '*'.  Each pattern ends past trailing whitespace, so the
 # scan position always sits on a token or at the end of the text.
-_HEAD = re.compile(r"\s*([+-]?)\s*(?:(\d+)\s*(?:(/)\s*(\d*))?)?\s*")
-_FACTOR = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:(\^)\s*(\d*))?\s*")
+_HEAD = re.compile(r"\s*([+-]?)\s*(?:([0-9]+)\s*(?:(/)\s*([0-9]*))?)?\s*")
+_FACTOR = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:(\^)\s*([0-9]*))?\s*")
 _STAR = re.compile(r"\*\s*")
 _NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_TOKEN = re.compile(r"(\d+)|[A-Za-z_][A-Za-z0-9_]*|[+\-*/^()]")
+_TOKEN = re.compile(r"([0-9]+)|[A-Za-z_][A-Za-z0-9_]*|[+\-*/^()]")
 
 
 def _int(digits: str) -> int:

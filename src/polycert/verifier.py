@@ -13,9 +13,11 @@ residual monomial in scan direction is the witness, and the merge stops there.
 every comparison and walks the term lists from their trailing ends, which
 finds an error faster when the discrepancy sits at the small end.
 
-A certificate is checked before the merge, on the keys the merge's set-up
-(:func:`~polycert.heapmul.merge_sources`) packs anyway: one order, one
-dimension, and every polynomial strictly decreasing.  A malformed one raises
+A certificate is checked by the merge's set-up
+(:func:`~polycert.heapmul.merge_sources`), which checks every polynomial it
+is given, streamed or not: one order, one dimension, strictly decreasing
+terms.  The verifier keeps only the certificate rules: at least one pair,
+and a dimension of ``len(varset)``.  A malformed certificate raises
 :class:`CertificateFormatError`; :func:`verify`, :func:`combine` and
 :func:`verify_naive` share that check.  :func:`find_witness` is the check
 and the merge alone and opens no counter scope, so run with none open it
@@ -27,16 +29,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import chain, starmap
-from operator import gt, lt
 from typing import Optional
 
 from . import poly
 from .counters import OpCounters, count_ops
-from .errors import CertificateFormatError, DimensionError
-from .heapmul import merge_sources, merge_streams
+from .errors import (
+    CertificateFormatError, DimensionError, FormatError, OrderMismatchError,
+)
+from .heapmul import collect, merge_sources, merge_streams
 from .monomial import ExponentVector, MonomialOrder, VariableSet, ev_make
-from .poly import Coefficient, Polynomial, Term, term_unchecked
+from .poly import Coefficient, Polynomial, Term
 
 
 class ScanDirection(Enum):
@@ -67,40 +69,26 @@ class VerifyResult:
 
 def _checked_sources(cert: Certificate, descending: bool, residual: bool) -> list[list]:
     """Set up the merge of sum lambda_i f_i, with (-1)*f as its last source
-    when `residual`, and check `cert` on the keys that set-up packs.
+    when `residual`; :func:`~polycert.heapmul.merge_sources` checks `cert`.
 
-    One packer keys every nonempty polynomial of `cert`: those the merge
-    streams and, for this check alone, each f_i beside an empty lambda_i (and
-    f unless `residual`), set up as one more source whose stream factor is
-    the constant -1, so its dimension is checked too; these are dropped from
-    the result.  Strictly decreasing terms give keys that rise along every
-    list but a stream factor's min-first, whose keys fall
-    (:func:`~polycert.heapmul.merge_sources`).  The kernels validate nothing.
+    The constant -1 is always given, so the dimension must be ``len(varset)``;
+    unless `residual`, f is given beside an empty factor, checked but not
+    streamed.  The set-up's errors become :class:`CertificateFormatError`.
     """
     if not cert.pairs:
         raise CertificateFormatError("certificate needs at least one pair")
-    if any(p.order is not cert.order for p in (cert.f, *chain(*cert.pairs))):
-        raise CertificateFormatError("mixed monomial orders in certificate")
-    n = len(cert.varset)
-    minus_one = Polynomial(cert.order, (Term(ev_make((0,) * n), -1),))
+    zero = poly.zero(cert.order)
+    minus_one = Polynomial(cert.order, (Term(ev_make((0,) * len(cert.varset)), -1),))
     pairs = [(f_i, lam_i) for lam_i, f_i in cert.pairs]
-    idle = [f_i for lam_i, f_i in cert.pairs if not lam_i.terms]
-    if residual:
-        pairs.append((minus_one, cert.f))
-    else:
-        idle.append(cert.f)
-    idle = [(minus_one, p) for p in idle if p.terms]
+    pairs += [(minus_one, cert.f)] if residual else [(minus_one, zero), (cert.f, zero)]
     try:
-        sources = merge_sources(pairs + idle, cert.order, descending)
+        return merge_sources(pairs, cert.order, descending)
+    except OrderMismatchError:
+        raise CertificateFormatError("mixed monomial orders in certificate") from None
     except DimensionError:
         raise CertificateFormatError("mixed dimensions in certificate") from None
-    if sources and len(sources[0][1][0].degrees.exponents) != n:
-        raise CertificateFormatError("mixed dimensions in certificate")
-    a_rises = lt if descending else gt
-    for _, _, ka, kb in sources:
-        if not (all(map(lt, kb, kb[1:])) and all(map(a_rises, ka, ka[1:]))):
-            raise CertificateFormatError("certificate terms not strictly decreasing")
-    return sources[: len(sources) - len(idle)]
+    except FormatError:
+        raise CertificateFormatError("certificate terms not strictly decreasing") from None
 
 
 def find_witness(
@@ -129,8 +117,7 @@ def verify(
 
 def combine(cert: Certificate) -> Polynomial:
     """Materialize sum lambda_i f_i term by term, greatest monomial first."""
-    terms = merge_streams(_checked_sources(cert, True, False))
-    return Polynomial(cert.order, tuple(starmap(term_unchecked, terms)))
+    return collect(cert.order, _checked_sources(cert, True, False))
 
 
 def verify_naive(cert: Certificate) -> VerifyResult:

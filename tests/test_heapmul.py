@@ -244,3 +244,69 @@ def test_tied_stream_entries_cost_no_comparisons(order, descending):
     assert c3.comparisons == c1.comparisons > 0
     assert c3.heap_extractions == c3.coeff_muls == 3 * c1.heap_extractions
     assert c1.coeff_muls == c1.heap_extractions == len(f.terms) * len(g.terms)
+
+
+# The set-up checks every factor it merges: one order, strictly decreasing terms
+from polycert import Polynomial  # noqa: E402
+from polycert.errors import FormatError  # noqa: E402
+
+
+def test_mul_heap_rejects_an_unsorted_factor():
+    rng = random.Random(4)
+    for _ in range(200):
+        f = random_poly(rng, GRLEX, 4, nvars=2, max_exp=4)
+        g = random_poly(rng, GRLEX, 4, nvars=2, max_exp=4)
+        if len(g.terms) < 2:
+            continue
+        for bad in (Polynomial(GRLEX, g.terms[::-1]), Polynomial(GRLEX, g.terms[:1] * 2)):
+            with pytest.raises(FormatError, match="strictly decreasing"):
+                mul_heap(f, bad)
+            with pytest.raises(FormatError, match="strictly decreasing"):
+                mul_heap(bad, f)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_min_first_merge_rejects_an_unsorted_list(order):
+    f, g = up([(3, 1), (1, 2)], order), up([(2, 1), (0, -1)], order)
+    for a, b in [(f, g), (g, f)]:
+        bad = Polynomial(order, b.terms[::-1])
+        for pair in [(a, bad), (bad, a)]:
+            with pytest.raises(FormatError):
+                merge_products([pair], order, descending=False)
+    assert list(merge_products([(f, g)], order, descending=False))  # sorted: fine
+
+
+def test_pairs_of_different_orders_rejected():
+    lex = MonomialOrder.LEX
+    f, g = up([(1, 1), (0, 1)]), up([(2, 1), (0, 3)], lex)
+    with pytest.raises(OrderMismatchError):
+        mul_heap(f, g)
+    with pytest.raises(OrderMismatchError):
+        mul_heap(g, f)
+    with pytest.raises(OrderMismatchError):  # each pair is of one order
+        merge_products([(f, f), (g, g)], GRLEX)
+
+
+@pytest.mark.parametrize("route", list(GbRoute))
+def test_mul_heap_gb_empty_geobucket_of_another_order(route):
+    with pytest.raises(OrderMismatchError):
+        mul_heap_gb(up([(1, 1)]), gb_new(MonomialOrder.LEX), route)
+
+
+def test_mul_heap_gb_takes_a_route_by_its_value():
+    f = up([(e, 1) for e in range(0, 40, 5)])
+    gb = gb_new(GRLEX)
+    for size, start in [(3, 1), (10, 4), (18, 14)]:  # buckets of 3, 10 and 18 terms
+        gb.add(up([(start + 50 * k, 1) for k in range(size)]))
+    assert sorted(len(bk.terms) for bk in gb.buckets if bk.terms) == [3, 10, 18]
+    counts = {}
+    for route in GbRoute:
+        for given in (route, route.value):
+            with count_ops() as c:
+                h = mul_heap_gb(f, gb, given)
+            assert h == mul_naive(f, gb.normalize())
+            counts[given] = c.comparisons, c.heap_extractions
+        assert counts[route] == counts[route.value]
+    assert counts[GbRoute.PER_BUCKET_STREAMS] != counts[GbRoute.HYBRID]
+    with pytest.raises(ValueError):
+        mul_heap_gb(f, gb, "bogus")

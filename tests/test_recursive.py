@@ -7,9 +7,12 @@ from polycert import (
     Const,
     MonomialOrder,
     Node,
+    Polynomial,
     RecursionMode,
+    Term,
     VariableSet,
     add,
+    ev_make,
     format_recursive,
     mul_naive,
     parse_poly,
@@ -19,7 +22,7 @@ from polycert import (
     univ_pseudo_divide,
     zero,
 )
-from polycert.errors import DomainError, StructureError
+from polycert.errors import DomainError, FormatError, StructureError
 from polycert.recursive import is_well_formed, univariate
 
 from conftest import ORDERS, random_poly
@@ -210,3 +213,12 @@ def test_pseudo_divide_monic_matches_divide(rng):
         qf, rf = univ_divide(f, g)
         assert as_poly(q) == as_poly(qf)
         assert as_poly(r) == as_poly(rf)
+
+
+@pytest.mark.parametrize("mode", list(RecursionMode))
+def test_to_recursive_rejects_a_repeated_monomial(mode):
+    xy = VariableSet(("x", "y"))
+    t, s = Term(ev_make((1, 2)), 1), Term(ev_make((1, 0)), 3)
+    for terms in [(t, t), (t, s, Term(ev_make((1, 2)), 2))]:
+        with pytest.raises(FormatError, match=r"repeated monomial x\*y\^2"):
+            to_recursive(Polynomial(GRLEX, terms), xy, mode)

@@ -236,6 +236,18 @@ def test_parse_error_positions_and_messages(text, position, message):
     assert str(e.value) == f"{message} (at position {position})"
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [("\u0661*x", 0), ("x^\u0662", 2), ("x + \u0663/\u0664", 4), ("\u0662\u0663", 0)],
+)
+def test_non_ascii_digits_rejected(text, position):
+    # coefficients and exponents are ASCII digits, as print_poly writes them
+    with pytest.raises(ParseError) as e:
+        parse_poly(text, VariableSet(("x", "y")), GRLEX)
+    assert e.value.position == position
+    assert str(e.value).startswith(f"unexpected character {text[position]!r}")
+
+
 _SPACE = st.sampled_from(["", "", " ", "  ", "\t", "\n "])
 
 
