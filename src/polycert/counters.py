@@ -7,13 +7,14 @@ Scopes nest: a count lands in every currently open scope, so an outer scope
 sees the totals (and the peak) of everything run inside it.
 
 A comparison made in C by a sort ticks where it is made
-(:class:`CountingKey` ``<``), as does ``ev_compare``.  Every other count is
-kept in local ints by its kernel and handed over by :func:`tally`: a merge,
-whose heap port counts every comparison it makes, once at its end and, only
-while a scope is open, right before each term it yields; any other kernel
-once.  Scopes open or close only between a merge's yields, so each count
-lands in the scopes open while its work was done, and a merge run with none
-open pays one :func:`tally` call, not one per term.
+(:class:`CountingKey` ``<``), the only count made one at a time.  Every
+other count is kept in local ints by its kernel and handed over by
+:func:`tally`: a merge, whose heap port counts every comparison it makes,
+once at its end and, only while a scope is open, right before each term it
+yields; any other kernel (a merge-add, a geobucket's head scan) once.
+Scopes open or close only between a merge's yields, so each count lands in
+the scopes open while its work was done, and a merge run with none open
+pays one :func:`tally` call, not one per term.
 
 Open scopes live in a :class:`contextvars.ContextVar`, private to each
 thread and asyncio task.  With none open, :func:`key_factory` leaves sort
@@ -56,18 +57,14 @@ class CountingKey(int):
     __slots__ = ()
 
     def __lt__(self, other) -> bool:
-        tick_comparison()
+        for c in _scopes.get():
+            c.comparisons += 1
         return int.__lt__(self, other)
 
 
 def key_factory() -> type[int]:
     """The sort key wrapper: :class:`CountingKey` while a scope is open, else ``int``."""
     return CountingKey if _scopes.get() else int
-
-
-def tick_comparison() -> None:
-    for c in _scopes.get():
-        c.comparisons += 1
 
 
 def tally(

@@ -14,7 +14,10 @@ Two leading-term strategies are supported.  ``scan_all`` scans every
 bucket's head; ``largest_bucket`` first re-merges any bucket whose head is
 not below the top bucket's head into the top bucket, restoring the
 invariant that the value's leading monomial lives in the highest nonempty
-bucket.  Both return identical answers; only maintenance cost differs.
+bucket.  Both return identical answers; only maintenance cost differs.  A
+strategy is an :class:`LcStrategy` or its value.  :meth:`Geobucket.add`
+checks what it is given (:func:`~polycert.poly.check_inputs`), not the
+buckets it merges; a head scan tallies its comparisons once.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from __future__ import annotations
 from enum import Enum
 
 from . import poly
-from .errors import DomainError, OrderMismatchError
+from .counters import tally
+from .errors import DomainError
 from .monomial import MonomialOrder, ev_compare
 from .poly import Polynomial, Term
 
@@ -37,13 +41,13 @@ class Geobucket:
         self,
         order: MonomialOrder,
         c: int = 4,
-        lc_strategy: LcStrategy = LcStrategy.SCAN_ALL,
+        lc_strategy: LcStrategy | str = LcStrategy.SCAN_ALL,
     ):
         if c < 2:
             raise DomainError(f"growth factor must be >= 2, got {c}")
         self.order = order
         self.c = c
-        self.lc_strategy = lc_strategy
+        self.lc_strategy = LcStrategy(lc_strategy)  # any other value: ValueError
         # buckets[k] for k >= 1; slot 0 unused, kept zero
         self.buckets: list[Polynomial] = [poly.zero(order), poly.zero(order)]
 
@@ -60,8 +64,7 @@ class Geobucket:
         return k
 
     def add(self, p: Polynomial) -> None:
-        if p.order is not self.order:
-            raise OrderMismatchError(f"{p.order} vs {self.order}")
+        poly.check_inputs(self.order, p)
         if not p.terms:
             return
         self._merge_into(self._target_bucket(len(p.terms)), p)
@@ -69,12 +72,12 @@ class Geobucket:
     def _merge_into(self, k: int, p: Polynomial) -> None:
         """Merge p into bucket k, cascading up while the result exceeds c**k terms."""
         self._ensure_bucket(k)
-        p = poly.add(self.buckets[k], p)
+        p = poly.add_unchecked(self.buckets[k], p)
         while len(p.terms) > self.c**k:
             self.buckets[k] = poly.zero(self.order)
             k += 1
             self._ensure_bucket(k)
-            p = poly.add(self.buckets[k], p)
+            p = poly.add_unchecked(self.buckets[k], p)
         self.buckets[k] = p
 
     def _top_index(self) -> int:
@@ -85,16 +88,20 @@ class Geobucket:
 
     def _maintain_largest_bucket(self) -> None:
         # re-merge any bucket whose head is not below the top bucket's head
+        comparisons = 0
         while top := self._top_index():
             head = self.buckets[top].terms[0].degrees
             for k in range(1, top):
                 bk = self.buckets[k]
-                if bk.terms and ev_compare(self.order, bk.terms[0].degrees, head) >= 0:
-                    self.buckets[k] = poly.zero(self.order)
-                    self._merge_into(top, bk)
-                    break
+                if bk.terms:
+                    comparisons += 1
+                    if ev_compare(self.order, bk.terms[0].degrees, head) >= 0:
+                        self.buckets[k] = poly.zero(self.order)
+                        self._merge_into(top, bk)
+                        break
             else:
-                return
+                break
+        tally(comparisons=comparisons)
 
     def leading_term(self) -> Term | None:
         """Fully combined leading term of the value, or None if the value is 0.
@@ -104,6 +111,7 @@ class Geobucket:
         """
         if self.lc_strategy is LcStrategy.LARGEST_BUCKET:
             self._maintain_largest_bucket()
+        comparisons, lt = 0, None
         while True:
             best = None
             holders: list[int] = []
@@ -115,22 +123,24 @@ class Geobucket:
                 if best is None:
                     best, holders = head, [k]
                 else:
+                    comparisons += 1
                     c = ev_compare(self.order, head, best)
                     if c > 0:
                         best, holders = head, [k]
                     elif c == 0:
                         holders.append(k)
             if best is None:
-                return None
-            total = 0
-            for k in holders:
-                total = total + self.buckets[k].terms[0].coeff
+                break
+            total = sum(self.buckets[k].terms[0].coeff for k in holders)
             if total != 0:
-                return Term(best, total)
+                lt = Term(best, total)
+                break
             # hidden zero: strip the cancelled head from every holder
             for k in holders:
                 bk = self.buckets[k]
                 self.buckets[k] = Polynomial(self.order, bk.terms[1:])
+        tally(comparisons=comparisons)
+        return lt
 
     def extract_leading(self) -> Term | None:
         """Remove and return the leading term of the value."""
@@ -147,7 +157,7 @@ class Geobucket:
         """Collapse to a plain polynomial, adding buckets small to large."""
         acc = poly.zero(self.order)
         for bk in self.buckets[1:]:
-            acc = poly.add(acc, bk)
+            acc = poly.add_unchecked(acc, bk)
         return acc
 
     def check_invariants(self) -> bool:
@@ -161,6 +171,8 @@ class Geobucket:
 
 
 def gb_new(
-    order: MonomialOrder, c: int = 4, lc_strategy: LcStrategy = LcStrategy.SCAN_ALL
+    order: MonomialOrder,
+    c: int = 4,
+    lc_strategy: LcStrategy | str = LcStrategy.SCAN_ALL,
 ) -> Geobucket:
     return Geobucket(order, c, lc_strategy)

@@ -30,11 +30,10 @@ trailing end.
 
 Every product in the package is a thin consumer of the engine:
 :func:`mul_heap` merges the single pair (f, g) with at most #f heap keys and
-#f*#g extractions; the geobucket routes of :func:`mul_heap_gb` convert the
-geobucket to a list first, stream each nonempty bucket as its own pair (up
-to #f * #buckets streams), or fold small buckets into one list and stream
-the large ones; the certificate verifier sets up (f_i, lambda_i) for every
-pair and (-1, f), then merges them.
+#f*#g extractions; :func:`mul_heap_gb` adds the buckets of a geobucket up
+to a fold threshold, which its route picks, into one list and streams that
+and each larger bucket as its own pair; the certificate verifier sets up
+(f_i, lambda_i) for every pair and (-1, f), then merges them.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from __future__ import annotations
 from enum import Enum
 from heapq import heappop, heappush, heapreplace
 from itertools import starmap
+from math import inf
 from operator import add, gt, lt
 from typing import Iterable, Iterator
 
@@ -226,24 +226,16 @@ def mul_heap_gb(
     hybrid_threshold: int = 16,
 ) -> Polynomial:
     """Multiply f by the value of a geobucket without caller-side conversion,
-    by `route`, a :class:`GbRoute` or its value (any other: ValueError)."""
-    if f.order is not g.order:  # an empty geobucket gives the set-up no pair
-        raise OrderMismatchError(f"{f.order} vs {g.order}")
-    route = GbRoute(route)
-    if route is GbRoute.CONVERT_FIRST:
-        return mul_heap(f, g.normalize())
-    if route is GbRoute.PER_BUCKET_STREAMS:
-        lists = [bk for bk in g.buckets[1:] if bk.terms]
-    else:  # hybrid: fold small buckets into one list, stream large ones
-        small = poly.zero(g.order)
-        lists = []
-        for bk in g.buckets[1:]:
-            if not bk.terms:
-                continue
-            if len(bk.terms) <= hybrid_threshold:
-                small = poly.add(small, bk)
-            else:
-                lists.append(bk)
-        if small.terms:
-            lists.append(small)
-    return collect(f.order, merge_sources([(f, bk) for bk in lists], f.order))
+    by `route`, a :class:`GbRoute` or its value (any other: ValueError).  The
+    buckets within the route's fold size (all for convert, none for
+    per-bucket, up to `hybrid_threshold` terms for hybrid) are added into
+    one list, streamed after each larger bucket."""
+    fold = {GbRoute.CONVERT_FIRST: inf, GbRoute.PER_BUCKET_STREAMS: 0,
+            GbRoute.HYBRID: hybrid_threshold}[GbRoute(route)]
+    small, lists = poly.zero(g.order), []
+    for bk in g.buckets[1:]:
+        if len(bk.terms) <= fold:
+            small = poly.add_unchecked(small, bk)
+        else:
+            lists.append(bk)
+    return collect(f.order, merge_sources([(f, bk) for bk in lists + [small]], f.order))

@@ -1,27 +1,30 @@
 """Exponent vectors over a fixed variable set, and monomial orders.
 
 Variable precedence is fixed at :class:`VariableSet` construction: earlier
-names are more significant (the "main" variable comes first).  Exponent
-vectors cache their total degree so that total-degree orders can compare
-totals in O(1) before falling back to a positional scan.
+names are more significant (the "main" variable comes first).  A variable
+name is an ASCII identifier, so the text grammar reads every name it can
+print.  Exponent vectors cache their total degree so that total-degree
+orders can compare totals in O(1) before falling back to a positional scan.
+:func:`ev_compare` is a pure comparison and counts nothing: a kernel that
+compares counts its own comparisons.
 
 :meth:`MonomialOrder.key` writes each order as a tuple linear in the
 exponents, so :func:`key_packer` packs it into one int per monomial as a
 dot product of the exponents with one cached weight vector per order and
-base; sorts wrap that int in a counting key only inside a counter scope.
-Exponents, totals and keys are plain ints, so any degree (x^1000000000 and
-friends) is fine.  :func:`ev_unchecked` builds an exponent vector without
-the dataclass ``__init__`` where the exponents are known to be valid.
+base, the packed key of each unit vector; sorts wrap that int in a counting
+key only inside a counter scope.  Exponents, totals and keys are plain
+ints, so any degree (x^1000000000 and friends) is fine.
+:func:`ev_unchecked` builds an exponent vector without the dataclass
+``__init__`` where the exponents are known to be valid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, reduce
 from operator import add, mul
 
-from .counters import tick_comparison
 from .errors import DimensionError, DomainError
 
 
@@ -48,10 +51,7 @@ def key_packer(order: MonomialOrder, evs: list[ExponentVector], summands: int = 
 
     The key is linear in the exponents, so the packed int is their dot
     product with one weight per variable, cached per order, length and base
-    (:func:`_weights`): exponent i of n weighs B^(n-1-i) in lex,
-    B^n + B^(n-1-i) in grlex (its share of the total digit plus its own
-    digit) and B^n - B^i in grevlex (the total digit less its reversed,
-    negated digit)."""
+    (:func:`_weights`)."""
     if len({len(ev.exponents) for ev in evs}) > 1:
         raise DimensionError("exponent vectors of mixed lengths")
     shift = (summands * max((ev.total for ev in evs), default=0)).bit_length()
@@ -65,13 +65,10 @@ def key_packer(order: MonomialOrder, evs: list[ExponentVector], summands: int = 
 
 @lru_cache(maxsize=64)
 def _weights(order: MonomialOrder, n: int, shift: int) -> tuple[int, ...]:
-    """:func:`key_packer`'s weight per exponent, in base 2^shift."""
-    place = [1 << (shift * i) for i in range(n + 1)]  # B^0 .. B^n
-    if order is MonomialOrder.LEX:
-        return tuple(place[n - 1 - i] for i in range(n))
-    if order is MonomialOrder.GRLEX:
-        return tuple(place[n] + place[n - 1 - i] for i in range(n))
-    return tuple(place[n] - place[i] for i in range(n))  # grevlex
+    """:func:`key_packer`'s weight per exponent: the base-2^shift reading of
+    :meth:`MonomialOrder.key` of that exponent's unit vector."""
+    units = (ev_unchecked(tuple(int(k == i) for k in range(n)), 1) for i in range(n))
+    return tuple(reduce(lambda v, d: (v << shift) + d, order.key(u), 0) for u in units)
 
 
 @dataclass(frozen=True)
@@ -85,6 +82,9 @@ class VariableSet:
             raise DomainError("variable set must be nonempty")
         if len(set(self.names)) != len(self.names):
             raise DomainError(f"duplicate variable names in {self.names}")
+        for name in self.names:
+            if not (isinstance(name, str) and name.isascii() and name.isidentifier()):
+                raise DomainError(f"variable name {name!r} is not an ASCII identifier")
 
     def __len__(self) -> int:
         return len(self.names)
@@ -149,12 +149,11 @@ def ev_add(a: ExponentVector, b: ExponentVector) -> ExponentVector:
 def ev_compare(order: MonomialOrder, a: ExponentVector, b: ExponentVector) -> int:
     """Compare two monomials: returns -1 (a < b), 0 (equal) or 1 (a > b).
 
-    Counts as one monomial comparison in any open instrumentation scope.
+    Counts nothing; a kernel that compares tallies its own comparisons.
     """
     ea, eb = a.exponents, b.exponents
     if len(ea) != len(eb):
         raise DimensionError(f"dimension mismatch: {len(ea)} vs {len(eb)}")
-    tick_comparison()
     if order is MonomialOrder.LEX:
         if ea == eb:
             return 0

@@ -8,7 +8,9 @@ and both nontrivial rings, so the degenerate 0=1 ring never arises).
 Addition is the classic sorted merge, implemented iteratively.  Every merge
 step in which both inputs are nonempty costs exactly one monomial
 comparison, so adding disjoint supports of sizes m and n costs at most
-m+n-1 comparisons.
+m+n-1 comparisons, tallied once.  :func:`add` and :func:`mul_naive` first
+check their inputs (:func:`check_inputs`, uncounted); the kernel's folds of
+polynomials it built skip that (:func:`add_unchecked`).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from itertools import starmap
 from typing import Iterable, Union
 
 from .counters import key_factory, tally
-from .errors import EmptyPolynomialError, OrderMismatchError
+from .errors import EmptyPolynomialError, FormatError, OrderMismatchError
 from .monomial import ExponentVector, MonomialOrder, ev_add, ev_compare, key_packer
 
 Coefficient = Union[int, Fraction]
@@ -75,14 +77,25 @@ def poly_from_terms(
     return Polynomial(order, tuple(starmap(term_unchecked, entries)))
 
 
-def _check_orders(p: Polynomial, q: Polynomial) -> None:
-    if p.order is not q.order:
-        raise OrderMismatchError(f"{p.order} vs {q.order}")
+def check_inputs(order: MonomialOrder, *polys: Polynomial) -> None:
+    """Raise unless each of `polys` is in `order` (:class:`OrderMismatchError`)
+    and strictly decreasing (:class:`FormatError`); counts nothing."""
+    for p in polys:
+        if p.order is not order:
+            raise OrderMismatchError(f"{p.order} vs {order}")
+        if not _descending(p):
+            raise FormatError("terms not strictly decreasing")
 
 
 def add(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Merge-add two sorted polynomials."""
-    _check_orders(p, q)
+    """Merge-add two sorted polynomials, after checking both."""
+    check_inputs(p.order, p, q)
+    return add_unchecked(p, q)
+
+
+def add_unchecked(p: Polynomial, q: Polynomial) -> Polynomial:
+    """:func:`add` of two polynomials of one order that the caller vouches
+    are strictly decreasing."""
     pt, qt = p.terms, q.terms
     np_, nq = len(pt), len(qt)
     i = j = adds = 0
@@ -104,7 +117,7 @@ def add(p: Polynomial, q: Polynomial) -> Polynomial:
             j += 1
     out.extend(pt[i:])
     out.extend(qt[j:])
-    tally(coeff_adds=adds)
+    tally(coeff_adds=adds, comparisons=i + j - adds)
     return Polynomial(p.order, tuple(out))
 
 
@@ -137,10 +150,10 @@ def term_mul(t: Term, p: Polynomial) -> Polynomial:
 
 def mul_naive(p: Polynomial, q: Polynomial) -> Polynomial:
     """Schoolbook product: fold term-times-q through merge addition."""
-    _check_orders(p, q)
+    check_inputs(p.order, p, q)
     acc = zero(p.order)
     for t in p.terms:
-        acc = add(acc, term_mul(t, q))
+        acc = add_unchecked(acc, term_mul(t, q))
     return acc
 
 
@@ -154,11 +167,11 @@ def term_count(p: Polynomial) -> int:
     return len(p.terms)
 
 
+def _descending(p: Polynomial) -> bool:
+    order, degrees = p.order, [t.degrees for t in p.terms]
+    return all(ev_compare(order, a, b) > 0 for a, b in zip(degrees, degrees[1:]))
+
+
 def is_well_formed(p: Polynomial) -> bool:
     """Strictly decreasing term list, no zero coefficients."""
-    if any(t.coeff == 0 for t in p.terms):
-        return False
-    return all(
-        ev_compare(p.order, p.terms[k].degrees, p.terms[k + 1].degrees) > 0
-        for k in range(len(p.terms) - 1)
-    )
+    return all(t.coeff != 0 for t in p.terms) and _descending(p)

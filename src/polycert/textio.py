@@ -37,10 +37,11 @@ without changing the limit.
 table (:func:`_factor_tables`, cached per variable set and bounded like the
 parser's exponent table) and joins a term's factors in C.
 
-Reading term streams: :func:`read_sorted` consumes a strictly decreasing
-stream with exactly n-1 comparisons and O(1) appends, falling back to
-geobucket accumulation the moment a violation is seen; :func:`read_naive`
-is the quadratic read-and-add baseline kept for benchmarks.
+Reading term streams: :func:`read_sorted` rejects a zero coefficient and
+hands the stream to :func:`~polycert.poly.poly_from_terms`, whose sort
+makes exactly n-1 comparisons on a strictly decreasing stream and also
+takes any other; :func:`read_naive` is the quadratic read-and-add baseline
+kept for benchmarks.
 """
 
 from __future__ import annotations
@@ -52,9 +53,8 @@ from typing import Iterable
 
 from . import poly
 from .errors import CertificateFormatError, FormatError, ParseError
-from .geobucket import Geobucket
 from .monomial import ExponentVector, MonomialOrder, VariableSet
-from .monomial import ev_compare, ev_make, ev_unchecked
+from .monomial import ev_make, ev_unchecked
 from .poly import Coefficient, Polynomial, Term, poly_from_terms
 from .verifier import Certificate
 
@@ -64,7 +64,6 @@ from .verifier import Certificate
 _HEAD = re.compile(r"\s*([+-]?)\s*(?:([0-9]+)\s*(?:(/)\s*([0-9]*))?)?\s*")
 _FACTOR = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:(\^)\s*([0-9]*))?\s*")
 _STAR = re.compile(r"\*\s*")
-_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN = re.compile(r"([0-9]+)|[A-Za-z_][A-Za-z0-9_]*|[+\-*/^()]")
 
 
@@ -119,13 +118,11 @@ def _term_pattern(names: tuple[str, ...]) -> re.Pattern:
     ``x`` does not start on ``x1``.  The term starts at a letter, digit or
     '_' and the match ends past trailing whitespace at a sign or at the end
     of the text, so it takes a term whole or not at all, and never matches
-    empty.  A name outside the grammar gets a group that never matches,
-    which leaves its terms to the general scan."""
+    empty.  Every name is an ASCII identifier (:class:`VariableSet`), so
+    no name needs escaping."""
     factors = "".join(
         r"(?:(?:(?<=[A-Za-z0-9_])\*|(?<![A-Za-z0-9_]))"
-        rf"({re.escape(name)}(?![A-Za-z0-9_])(?:\^[0-9]+)?))?"
-        if _NAME.fullmatch(name)
-        else "(?:(?!)())?"
+        rf"({name}(?![A-Za-z0-9_])(?:\^[0-9]+)?))?"
         for name in names
     )
     return re.compile(
@@ -268,28 +265,11 @@ def print_poly(p: Polynomial, varset: VariableSet) -> str:
 def read_sorted(
     stream: Iterable[tuple[ExponentVector, Coefficient]], order: MonomialOrder
 ) -> Polynomial:
-    """Build a polynomial from a term stream, fast when already sorted."""
-    terms: list[Term] = []
-    it = iter(stream)
-    fallback = None
-    for ev, c in it:
-        if c == 0:
-            raise FormatError("zero coefficient in term stream")
-        if not terms or ev_compare(order, terms[-1].degrees, ev) > 0:
-            terms.append(Term(ev, c))
-        else:
-            # sortedness violated: finish via geobucket accumulation
-            fallback = Geobucket(order)
-            fallback.add(Polynomial(order, tuple(terms)))
-            fallback.add(Polynomial(order, (Term(ev, c),)))
-            break
-    if fallback is None:
-        return Polynomial(order, tuple(terms))
-    for ev, c in it:
-        if c == 0:
-            raise FormatError("zero coefficient in term stream")
-        fallback.add(Polynomial(order, (Term(ev, c),)))
-    return fallback.normalize()
+    """Build a polynomial from a term stream, in n-1 comparisons when sorted."""
+    pairs = list(stream)
+    if any(c == 0 for _, c in pairs):
+        raise FormatError("zero coefficient in term stream")
+    return poly_from_terms(order, pairs)
 
 
 def read_naive(
@@ -300,7 +280,7 @@ def read_naive(
     for ev, c in stream:
         if c == 0:
             raise FormatError("zero coefficient in term stream")
-        acc = poly.add(acc, Polynomial(order, (Term(ev, c),)))
+        acc = poly.add_unchecked(acc, Polynomial(order, (Term(ev, c),)))
     return acc
 
 

@@ -337,3 +337,11 @@ def test_unobserved_verify_counts_nothing(cert_files, capsys, monkeypatch):
                 f"heap_extractions: {c.heap_extractions}",
                 f"heap_peak: {c.heap_peak}", f"peak_terms: {stats.peak_terms}",
             ]
+
+
+@pytest.mark.parametrize("names", ["1x,y", "x*y,z", "x, y"])
+def test_a_variable_name_the_grammar_cannot_read_is_bad_input(tmp_path, capsys, names):
+    p = tmp_path / "p.poly"
+    p.write_text("x + 1\n")
+    assert main(["convert", "--vars", names, str(p)]) == 2
+    assert "is not an ASCII identifier" in capsys.readouterr().err

@@ -193,3 +193,41 @@ def test_cascade_layout_and_counts_pinned(strategy, c, sizes, comparisons, coeff
     assert [len(b.terms) for b in gb.buckets[1:]] == sizes
     assert (ops.comparisons, ops.coeff_adds) == (comparisons, coeff_adds)
     assert gb.check_invariants()
+
+
+from polycert import Geobucket, OpCounters, Polynomial  # noqa: E402
+from polycert.errors import FormatError  # noqa: E402
+
+from conftest import ORDERS  # noqa: E402
+
+
+def test_lc_strategy_is_taken_by_value():
+    import random
+
+    runs = {}
+    for strategy in (LcStrategy.LARGEST_BUCKET, "largest_bucket"):
+        rng = random.Random(11)
+        gb = gb_new(GRLEX, 2, strategy)
+        assert gb.lc_strategy is LcStrategy.LARGEST_BUCKET
+        with count_ops() as ops:
+            for k in range(30):
+                gb.add(random_poly(rng, GRLEX, rng.randrange(1, 12), nvars=2, max_exp=15))
+                if k % 7 == 6:
+                    gb.extract_leading()
+        runs[strategy] = [len(b.terms) for b in gb.buckets], ops
+    assert runs[LcStrategy.LARGEST_BUCKET] == runs["largest_bucket"]
+    assert Geobucket(GRLEX, lc_strategy="scan_all").lc_strategy is LcStrategy.SCAN_ALL
+    with pytest.raises(ValueError):
+        gb_new(GRLEX, 4, "largest")
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_add_rejects_a_polynomial_not_strictly_decreasing(order):
+    good = poly_from_terms(order, [(ev_make((e, 1)), 1) for e in (2, 1, 0)])
+    for bad in (Polynomial(order, good.terms[::-1]), Polynomial(order, good.terms[:1] * 2)):
+        gb = gb_new(order)
+        gb.add(good)
+        with count_ops() as ops, pytest.raises(FormatError, match="strictly decreasing"):
+            gb.add(bad)
+        assert ops == OpCounters()
+        assert gb.normalize() == good

@@ -310,3 +310,53 @@ def test_mul_heap_gb_takes_a_route_by_its_value():
     assert counts[GbRoute.PER_BUCKET_STREAMS] != counts[GbRoute.HYBRID]
     with pytest.raises(ValueError):
         mul_heap_gb(f, gb, "bogus")
+
+
+# -- the three routes share one loop; each makes its old branch's product and counts
+
+from polycert import Term, add  # noqa: E402
+
+
+def _old_route(f, gb, route, hybrid_threshold):
+    """mul_heap_gb's three branches as they were written before they shared a loop."""
+    if route is GbRoute.CONVERT_FIRST:
+        return mul_heap(f, gb.normalize())
+    if route is GbRoute.PER_BUCKET_STREAMS:
+        lists = [bk for bk in gb.buckets[1:] if bk.terms]
+    else:
+        small, lists = zero(f.order), []
+        for bk in gb.buckets[1:]:
+            if not bk.terms:
+                continue
+            if len(bk.terms) <= hybrid_threshold:
+                small = add(small, bk)
+            else:
+                lists.append(bk)
+        if small.terms:
+            lists.append(small)
+    terms = merge_products([(f, bk) for bk in lists], f.order)
+    return Polynomial(f.order, tuple(Term(ev, c) for ev, c in terms))
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("route", list(GbRoute))
+def test_each_route_makes_its_old_branch_product_and_counts(order, route):
+    rng = random.Random(29)
+    for trial in range(12):
+        f = random_poly(rng, order, rng.randrange(0, 8), max_exp=8)
+        if trial % 2:
+            gb = _random_gb(rng, order, rng.randrange(0, 10))
+        else:  # c = 2: buckets of at most 2, 4, 8, 16 terms; the 4-term one empty
+            gb = gb_new(order, 2)
+            gb.buckets = [zero(order)] + [
+                random_poly(rng, order, n, max_exp=8) for n in (2, 0, 8, 16)
+            ]
+            assert gb.check_invariants()
+            assert gb.buckets[1].terms and not gb.buckets[2].terms and gb.buckets[3].terms
+        for threshold in (0, 2, 8, 100):
+            with count_ops() as new:
+                got = mul_heap_gb(f, gb, route, threshold)
+            with count_ops() as old:
+                want = _old_route(f, gb, route, threshold)
+            assert got == want
+            assert new == old

@@ -144,3 +144,22 @@ def test_unchecked_exponent_vector_is_the_frozen_class():
             with pytest.raises(FrozenInstanceError):
                 setattr(fast, field, getattr(built, field))
         assert fast == built
+
+
+from polycert import OpCounters, count_ops  # noqa: E402
+
+
+@given(order=st.sampled_from(ORDERS), a=small_evs, b=small_evs)
+@settings(max_examples=100, deadline=None)
+def test_ev_compare_counts_nothing(order, a, b):
+    with count_ops() as c:
+        ev_compare(order, a, b)
+    assert c == OpCounters()
+
+
+@pytest.mark.parametrize(
+    "names", [("1x", "y"), ("x*y", "z"), ("x", " y"), ("x", "é"), ("x", 1)]
+)
+def test_variable_set_rejects_a_name_the_grammar_cannot_read(names):
+    with pytest.raises(DomainError):
+        VariableSet(names)

@@ -203,3 +203,50 @@ def test_unchecked_term_is_the_frozen_class():
             with pytest.raises(FrozenInstanceError):
                 setattr(fast, field, getattr(built, field))
         assert fast == built
+
+
+# -- merge-add tallies its own steps; add and mul_naive check their inputs
+
+from polycert import OpCounters, Polynomial  # noqa: E402
+from polycert.errors import FormatError  # noqa: E402
+
+
+def two_pointer_steps(p, q):
+    """Steps of a two-pointer merge of p's and q's terms, on the order's keys."""
+    ka = [p.order.key(t.degrees) for t in p.terms]
+    kb = [q.order.key(t.degrees) for t in q.terms]
+    i = j = steps = 0
+    while i < len(ka) and j < len(kb):
+        i, j, steps = i + (ka[i] >= kb[j]), j + (ka[i] <= kb[j]), steps + 1
+    return steps
+
+
+term_lists = st.lists(
+    st.tuples(st.tuples(*[st.integers(0, 3)] * 3), st.integers(-3, 3).filter(bool)),
+    max_size=8,
+)
+
+
+@given(order=st.sampled_from(ORDERS), a=term_lists, b=term_lists)
+@settings(max_examples=200, deadline=None)
+def test_add_counts_the_steps_of_a_two_pointer_merge(order, a, b):
+    p, q = (poly_from_terms(order, [(ev_make(e), c) for e, c in ts]) for ts in (a, b))
+    with count_ops() as c:
+        s = add(p, q)
+    assert c.comparisons == two_pointer_steps(p, q)
+    common = {t.degrees for t in p.terms} & {t.degrees for t in q.terms}
+    assert c.coeff_adds == len(common)
+    assert s == poly_from_terms(order, [(t.degrees, t.coeff) for t in p.terms + q.terms])
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_add_and_mul_naive_reject_an_input_not_strictly_decreasing(order):
+    good = poly_from_terms(order, [(ev_make((e, 0)), 1) for e in (2, 1, 0)])  # x^2 + x + 1
+    for bad in (Polynomial(order, good.terms[::-1]), Polynomial(order, good.terms[:1] * 2)):
+        for args in ((bad, good), (good, bad)):
+            with count_ops() as c:
+                with pytest.raises(FormatError, match="strictly decreasing"):
+                    add(*args)
+                with pytest.raises(FormatError, match="strictly decreasing"):
+                    mul_naive(*args)
+            assert c == OpCounters()  # checked before any counted work

@@ -551,3 +551,16 @@ def test_factor_tables_stay_within_their_bound():
     huge = Polynomial(GRLEX, (Term(ev_make((10**4400 + 3,)), 1),))
     assert print_poly(huge, u) == _print_per_term(huge, u)
     assert len(textio._factor_tables(u.names)[0]) == 2  # 0 and 1, filled at start
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_read_sorted_is_poly_from_terms(order):
+    # x^2 appears twice and combines; y appears twice and cancels
+    stream = [((2, 0), 3), ((0, 1), 1), ((2, 0), 4), ((1, 1), 5), ((0, 1), -1)]
+    stream = [(ev_make(e), c) for e, c in stream]
+    with count_ops() as read:
+        got = read_sorted(stream, order)
+    with count_ops() as ref:
+        want = poly_from_terms(order, stream)
+    assert got == want and read == ref
+    assert [(t.degrees.exponents, t.coeff) for t in got.terms] == [((2, 0), 7), ((1, 1), 5)]
