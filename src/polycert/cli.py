@@ -14,7 +14,9 @@ verifier's uncounted :func:`~polycert.verifier.find_witness`; ``stats``
 counts.
 
 Polynomial files contain one expression in the textio grammar; variables
-and order come from --vars/--order flags.  Certificate files carry their
+and order come from --vars/--order flags.  Flags that conflict (``stats
+--cert`` with ``--mul``, ``mul --geobucket`` with ``--engine naive``) and an
+empty name in --vars are bad input.  Certificate files carry their
 own header.  Output is canonical descending text, so runs are byte-exact.
 """
 
@@ -105,7 +107,7 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _load_polys(paths: list[str], args):
-    varset = VariableSet(tuple(v for v in args.vars.split(",") if v))
+    varset = VariableSet(tuple(args.vars.split(",")))
     order = MonomialOrder(args.order)
     return [textio.parse_poly(_read(p), varset, order) for p in paths], varset, order
 
@@ -166,6 +168,9 @@ def _dispatch(args) -> int:
         return 1
 
     if args.command == "mul":
+        if args.geobucket and args.engine == "naive":
+            sys.stderr.write("error: --geobucket needs the heap engine\n")
+            return 2
         (p, q), varset, order = _load_polys(args.inputs, args)
         if args.engine == "naive":
             prod = poly.mul_naive(p, q)
@@ -193,6 +198,9 @@ def _dispatch(args) -> int:
         return 0
 
     # stats
+    if args.cert is not None and args.mul is not None:
+        sys.stderr.write("error: stats takes --cert or --mul, not both\n")
+        return 2
     if args.cert is not None:
         cert = textio.parse_certificate(_read(args.cert))
         result = verify(cert, ScanDirection(args.direction))

@@ -12,17 +12,21 @@ compares counts its own comparisons.
 exponents, so :func:`key_packer` packs it into one int per monomial as a
 dot product of the exponents with one cached weight vector per order and
 base, the packed key of each unit vector; sorts wrap that int in a counting
-key only inside a counter scope.  Exponents, totals and keys are plain
+key only inside a counter scope.  :func:`pack_columns` packs the same keys
+from exponents given column by column.  Exponents, totals and keys are plain
 ints, so any degree (x^1000000000 and friends) is fine.
 :func:`ev_unchecked` builds an exponent vector without the dataclass
-``__init__`` where the exponents are known to be valid.
+``__init__`` where the exponents are known to be valid, and
+:func:`evs_unchecked` builds a column of them.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, reduce
+from itertools import repeat
 from operator import add, mul
 
 from .errors import DimensionError, DomainError
@@ -61,6 +65,19 @@ def key_packer(order: MonomialOrder, evs: list[ExponentVector], summands: int = 
         return sum(map(mul, ev.exponents, weights))
 
     return pack
+
+
+def pack_columns(
+    order: MonomialOrder, columns: list[list[int]], totals: list[int]
+) -> list[int]:
+    """:func:`key_packer`'s packed key of each monomial whose exponents are
+    given one column per variable, with their totals: one weighted column
+    added at a time, in C."""
+    weights = _weights(order, len(columns), max(totals, default=0).bit_length())
+    keys = [0] * len(totals)
+    for column, weight in zip(columns, weights):
+        keys = list(map(add, keys, map(mul, column, repeat(weight))))
+    return keys
 
 
 @lru_cache(maxsize=64)
@@ -126,6 +143,17 @@ def ev_unchecked(exponents: tuple[int, ...], total: int) -> ExponentVector:
     _set_exponents(ev, exponents)
     _set_total(ev, total)
     return ev
+
+
+def evs_unchecked(
+    exponents: list[tuple[int, ...]], totals: list[int]
+) -> list[ExponentVector]:
+    """:func:`ev_unchecked` of each exponent tuple and its total, in C: a
+    blank object each, then each field set through its slot."""
+    evs = list(map(_new, repeat(ExponentVector, len(totals))))
+    deque(map(_set_exponents, evs, exponents), 0)  # each set returns None
+    deque(map(_set_total, evs, totals), 0)
+    return evs
 
 
 def ev_make(exponents) -> ExponentVector:

@@ -15,9 +15,10 @@ polynomials it built skip that (:func:`add_unchecked`).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import starmap
+from itertools import repeat, starmap
 from typing import Iterable, Union
 
 from .counters import key_factory, tally
@@ -44,6 +45,15 @@ def term_unchecked(degrees: ExponentVector, coeff: Coefficient) -> Term:
     _set_degrees(t, degrees)
     _set_coeff(t, coeff)
     return t
+
+
+def terms_unchecked(degrees: list[ExponentVector], coeffs: list[Coefficient]) -> list[Term]:
+    """:func:`term_unchecked` of each monomial and coefficient, in C: a
+    blank object each, then each field set through its slot."""
+    terms = list(map(_new, repeat(Term, len(coeffs))))
+    deque(map(_set_degrees, terms, degrees), 0)  # each set returns None
+    deque(map(_set_coeff, terms, coeffs), 0)
+    return terms
 
 
 @dataclass(frozen=True)

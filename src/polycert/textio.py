@@ -23,11 +23,16 @@ N is written in ASCII digits.  Blank lines and lines starting with '#' are
 ignored.  Long polynomials may continue on following lines until the next
 label.
 
-:func:`parse_poly` reads the text left to right.  A canonical term, written
-as :func:`print_poly` writes it, takes one match of a pattern compiled once
-per variable set, and its exponents are looked up in C.  At the first term
-that pattern does not take whole, the general scan (term head, factor, '*'
-patterns) picks up and reads the rest of the text; it accepts the whole
+:func:`parse_poly` reads text that is wholly canonical, or else the general
+scan reads it all.  Canonical text is a run of terms as :func:`print_poly`
+writes them, each one match of a pattern compiled once per variable set;
+one ``findall`` takes them, and the terms are built a column at a time in C
+(exponents and coefficients looked up in bounded tables, packed keys added
+up per variable).  Text in order without zero terms becomes a polynomial
+as it stands; other canonical text goes through
+:func:`~polycert.poly.poly_from_terms`.  :func:`parse_certificate` reads
+all of a certificate's sections in one such batch when all are canonical.
+The general scan (term head, factor, '*' patterns) accepts the whole
 grammar and is the only source of :class:`ParseError`, each with a
 position.  Coefficients are exact at any length: digit strings and integers
 beyond the interpreter's int-string digit limit are converted in pieces,
@@ -49,13 +54,16 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress, islice
+from operator import add, gt, itemgetter
 from typing import Iterable
 
 from . import poly
+from .counters import tally
 from .errors import CertificateFormatError, FormatError, ParseError
 from .monomial import ExponentVector, MonomialOrder, VariableSet
-from .monomial import ev_make, ev_unchecked
-from .poly import Coefficient, Polynomial, Term, poly_from_terms
+from .monomial import ev_make, evs_unchecked, pack_columns
+from .poly import Coefficient, Polynomial, Term, poly_from_terms, terms_unchecked
 from .verifier import Certificate
 
 # A term is a head (sign, integer, '/' denominator; each optional), then
@@ -111,32 +119,36 @@ def _error(text: str, at: int, expected: str, got: bool = False) -> ParseError:
 def _term_pattern(names: tuple[str, ...]) -> re.Pattern:
     """One canonical term over `names`, as :func:`print_poly` writes it.
 
-    Groups: sign, numerator, denominator, then one factor group per
-    variable, in variable order.  A factor is ``v`` or ``v^digits`` with no
-    spaces or non-ASCII digits; a '*' comes before it exactly when a
-    coefficient or another factor does, and a lookahead ends each name, so
-    ``x`` does not start on ``x1``.  The term starts at a letter, digit or
-    '_' and the match ends past trailing whitespace at a sign or at the end
-    of the text, so it takes a term whole or not at all, and never matches
-    empty.  Every name is an ASCII identifier (:class:`VariableSet`), so
-    no name needs escaping."""
+    Groups: the whole term, sign, numerator, denominator, then one factor
+    group per variable, in variable order.  A factor is ``v`` or
+    ``v^digits`` with no spaces or non-ASCII digits; a '*' comes before it
+    exactly when a coefficient or another factor does, and a lookahead ends
+    each name, so ``x`` does not start on ``x1``.  The term starts at a
+    letter, digit or '_' and the match ends past trailing whitespace at a
+    sign or at the end of the text, so it takes a term whole or not at all,
+    and never matches empty.  A match starts only at the start of the text
+    or at a sign, where every term but the first starts, so ``findall`` on
+    text that is not canonical tries few places (none inside a digit run)
+    and stays linear.  Every name is an ASCII identifier
+    (:class:`VariableSet`), so no name needs escaping."""
     factors = "".join(
         r"(?:(?:(?<=[A-Za-z0-9_])\*|(?<![A-Za-z0-9_]))"
         rf"({name}(?![A-Za-z0-9_])(?:\^[0-9]+)?))?"
         for name in names
     )
     return re.compile(
-        r"\s*([+-]?)\s*(?=[A-Za-z0-9_])(?:([0-9]+)(?:/(0*[1-9][0-9]*))?)?"
+        r"((?:\A|(?=[+-]))\s*([+-]?)\s*(?=[A-Za-z0-9_])(?:([0-9]+)(?:/(0*[1-9][0-9]*))?)?"
         + factors
-        + r"\s*(?=[+-]|\Z)"
+        + r"\s*(?=[+-]|\Z))"
     )
 
 
 _TABLE_SIZE = 4096  # most entries kept by a factor table
+_ROWS = 2048  # term rows read at a time, so few term strings are alive at once
 
 
 class _Exponents(dict):
-    """Factor text -> exponent: None -> 0, "x" -> 1, "x^12" -> 12.  A miss
+    """Factor text -> exponent: "" -> 0, "x" -> 1, "x^12" -> 12.  A miss
     is converted and, while the table is small, kept."""
 
     def __missing__(self, factor: str) -> int:
@@ -147,40 +159,112 @@ class _Exponents(dict):
         return e
 
 
-_EXPONENTS = _Exponents({None: 0})
+class _Coefficients(dict):
+    """Sign and numerator text -> integer coefficient: "" -> 1, "-" -> -1,
+    "+12" -> 12, "-12" -> -12.  A miss is converted and, while the table is
+    small, kept."""
+
+    def __missing__(self, head: str) -> int:
+        digits = head.lstrip("+-")
+        c = _int(digits) if digits else 1
+        if head[0] == "-":
+            c = -c
+        if len(self) < _TABLE_SIZE and len(head) < 64:
+            self[head] = c
+        return c
+
+
+_EXPONENTS = _Exponents({"": 0})
+_COEFFICIENTS = _Coefficients({"": 1, "+": 1, "-": -1})
 
 
 def parse_poly(text: str, varset: VariableSet, order: MonomialOrder) -> Polynomial:
     """Parse a polynomial expression over the given variables.
 
-    Canonical terms take one match each; the general scan reads the text
-    from the first term that is not canonical to the end."""
+    Wholly canonical text is read column by column (:func:`_parse_canonical`);
+    any other text is read by the general scan."""
     if not text.strip():
         raise ParseError("empty polynomial text", 0)
-    term = _term_pattern(varset.names).match
-    exponent = _EXPONENTS.__getitem__
-    pairs: list[tuple[ExponentVector, Coefficient]] = []
-    pos, end = 0, len(text)
-    while pos < end and (m := term(text, pos)):
-        groups = m.groups()
-        sign, num, den = groups[:3]
-        coeff: Coefficient = 1 if num is None else _int(num)
-        if den:
-            coeff = Fraction(coeff, _int(den))
-        if sign == "-":
-            coeff = -coeff
-        exps = tuple(map(exponent, groups[3:]))
-        pairs.append((ev_unchecked(exps, sum(exps)), coeff))
-        pos = m.end()
-    if pos < end:
-        _scan(text, pos, varset, pairs)
-    return poly_from_terms(order, pairs)
+    polys = _parse_canonical([text], varset, order)
+    if polys is not None:
+        return polys[0]
+    return poly_from_terms(order, _scan(text, varset))
 
 
-def _scan(text: str, pos: int, varset: VariableSet, pairs: list) -> None:
-    """The general grammar: append the terms of ``text[pos:]`` to `pairs`,
-    or raise :class:`ParseError` at the first malformed token."""
+def _parse_canonical(
+    texts: list[str], varset: VariableSet, order: MonomialOrder
+) -> list[Polynomial] | None:
+    """The polynomial of each of `texts` (at least one), or None unless
+    every text is a nonempty run of canonical terms.
+
+    One ``findall`` per text; its matches never overlap and never match
+    empty, so they take the whole text exactly when their lengths add up to
+    its length, and then they are the matches a left-to-right scan makes.
+    All texts' terms are built together, one column at a time in C, from
+    term rows moved into columns (:func:`_read_rows`) a few thousand at a
+    time, so that the term strings die early.  A text whose packed keys
+    strictly decrease and whose coefficients are nonzero becomes a
+    polynomial as it stands, counted as the n-1 comparisons that
+    :func:`~polycert.poly.poly_from_terms` makes on it; any other goes
+    through ``poly_from_terms``."""
+    findall, whole = _term_pattern(varset.names).findall, itemgetter(0)
+    exps_by_var: list[list[int]] = [[] for _ in varset.names]
+    coeffs: list[Coefficient] = []
+    rows: list[tuple[str, ...]] = []
+    bounds = [0]
+    for text in texts:
+        found = findall(text)
+        if not found or sum(map(len, map(whole, found))) != len(text):
+            return None
+        rows += found
+        bounds.append(bounds[-1] + len(found))
+        if len(rows) >= _ROWS:
+            _read_rows(rows, exps_by_var, coeffs)
+    del found
+    _read_rows(rows, exps_by_var, coeffs)
+    exps = list(zip(*exps_by_var))
+    totals = list(map(sum, exps))
+    keys = pack_columns(order, exps_by_var, totals)
+    del exps_by_var
+    descending = list(map(gt, keys, islice(keys, 1, None)))
+    del keys
+    evs = evs_unchecked(exps, totals)
+    del exps, totals
+    terms = terms_unchecked(evs, coeffs)
+    polys, comparisons = [], 0
+    for a, b in zip(bounds, bounds[1:]):
+        if all(descending[a : b - 1]) and all(coeffs[a:b]):
+            polys.append(Polynomial(order, tuple(terms[a:b])))
+            comparisons += b - a - 1
+        else:
+            polys.append(poly_from_terms(order, zip(evs[a:b], coeffs[a:b])))
+    tally(comparisons=comparisons)
+    return polys
+
+
+def _read_rows(
+    rows: list[tuple[str, ...]], exps_by_var: list[list[int]], coeffs: list[Coefficient]
+) -> None:
+    """Move canonical term rows, as ``findall`` gives them, into the
+    exponent columns and the coefficients; `rows` is left empty."""
+    if not rows:
+        return
+    _, signs, nums, dens, *factors = zip(*rows)
+    rows.clear()
+    for exps, column in zip(exps_by_var, factors):
+        exps += map(_EXPONENTS.__getitem__, column)
+    start = len(coeffs)
+    coeffs += map(_COEFFICIENTS.__getitem__, map(add, signs, nums))
+    for i in compress(range(len(dens)), dens):  # only terms with a denominator
+        coeffs[start + i] = Fraction(coeffs[start + i], _int(dens[i]))
+
+
+def _scan(text: str, varset: VariableSet) -> list[tuple[ExponentVector, Coefficient]]:
+    """The general grammar: the terms of `text`, in text order, or
+    :class:`ParseError` at the first malformed token."""
     index = {name: i for i, name in enumerate(varset.names)}
+    pairs: list[tuple[ExponentVector, Coefficient]] = []
+    pos = 0
     while pos < len(text):
         head = _HEAD.match(text, pos)
         sign, num, slash, den = head.groups()
@@ -213,6 +297,7 @@ def _scan(text: str, pos: int, varset: VariableSet, pairs: list) -> None:
             exps[index[name]] += _int(e) if caret else 1
             pos, star = factor.end(), True
         pairs.append((ev_make(exps), coeff))
+    return pairs
 
 
 class _Factors(dict):
@@ -326,20 +411,36 @@ def parse_certificate(text: str) -> Certificate:
     n = _int(n_text)
     if n < 1:
         raise CertificateFormatError(f"N must be >= 1, got {n}")
-    f = parse_poly(sections["f"], varset, order)
-    pairs = []
-    for i in range(1, n + 1):
-        labels = (f"lambda[{i}]", f"g[{i}]")
-        for label in labels:
-            if label not in sections:
-                raise CertificateFormatError(f"missing section {label!r}")
-        pairs.append(tuple(parse_poly(sections[lb], varset, order) for lb in labels))
+    f, pairs = _parse_sections(sections, n, varset, order)
     for label, i in indices.items():
         if not 1 <= i <= n:
             raise CertificateFormatError(f"section {label!r} outside 1..{n}")
         if label not in (f"lambda[{i}]", f"g[{i}]"):  # lambda[01] is not lambda[1]
             raise CertificateFormatError(f"section {label!r} is never read")
     return Certificate(varset, order, f, tuple(pairs))
+
+
+def _parse_sections(
+    sections: dict[str, str], n: int, varset: VariableSet, order: MonomialOrder
+) -> tuple[Polynomial, list[tuple[Polynomial, Polynomial]]]:
+    """f and the n (lambda, g) pairs: in one batch (:func:`_parse_canonical`)
+    when every section is there and wholly canonical, else one section at a
+    time, raising the first fault in that order."""
+    if 2 * n < len(sections):  # else a section is missing: no labels for a huge N
+        labels = ["f", *(f"{s}[{i}]" for i in range(1, n + 1) for s in ("lambda", "g"))]
+        if all(map(sections.__contains__, labels)):
+            polys = _parse_canonical([sections[lb] for lb in labels], varset, order)
+            if polys is not None:
+                return polys[0], list(zip(polys[1::2], polys[2::2]))
+    f = parse_poly(sections["f"], varset, order)
+    pairs = []
+    for i in range(1, n + 1):
+        labels = [f"lambda[{i}]", f"g[{i}]"]
+        for label in labels:
+            if label not in sections:
+                raise CertificateFormatError(f"missing section {label!r}")
+        pairs.append(tuple(parse_poly(sections[lb], varset, order) for lb in labels))
+    return f, pairs
 
 
 def format_certificate(cert: Certificate) -> str:

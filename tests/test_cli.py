@@ -345,3 +345,30 @@ def test_a_variable_name_the_grammar_cannot_read_is_bad_input(tmp_path, capsys, 
     p.write_text("x + 1\n")
     assert main(["convert", "--vars", names, str(p)]) == 2
     assert "is not an ASCII identifier" in capsys.readouterr().err
+
+
+def test_stats_with_both_a_certificate_and_a_product_is_bad_input(cert_files, poly_files, capsys):
+    good, _ = cert_files
+    a, b = poly_files
+    assert main(["stats", "--cert", str(good), "--mul", str(a), str(b), "--vars", "x,y"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: stats takes --cert or --mul, not both\n"
+
+
+def test_a_geobucket_with_the_naive_engine_is_bad_input(poly_files, capsys):
+    a, b = poly_files
+    args = ["mul", "--vars", "x,y", "--engine", "naive", "--geobucket", "--route", "hybrid"]
+    assert main(args + [str(a), str(b)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --geobucket needs the heap engine\n"
+
+
+def test_an_empty_variable_name_is_bad_input(tmp_path, capsys):
+    p = tmp_path / "p.poly"
+    p.write_text("x + y\n")
+    assert main(["convert", "--vars", "x,,y", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "variable name '' is not an ASCII identifier" in captured.err

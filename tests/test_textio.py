@@ -564,3 +564,140 @@ def test_read_sorted_is_poly_from_terms(order):
         want = poly_from_terms(order, stream)
     assert got == want and read == ref
     assert [(t.degrees.exponents, t.coeff) for t in got.terms] == [((2, 0), 7), ((1, 1), 5)]
+
+
+# -- canonical text read a column at a time -------------------------------------
+
+from polycert import OpCounters  # noqa: E402
+
+XY = VariableSet(("x", "y"))
+
+
+def _ev(*exps):
+    return ev_make(exps)
+
+
+# (text, its terms in text order, comparisons poly_from_terms makes on them)
+_COUNTED_TEXTS = [
+    ("3*x^2*y - x*y + 2*y^2 - 7",
+     [(_ev(2, 1), 3), (_ev(1, 1), -1), (_ev(0, 2), 2), (_ev(0, 0), -7)], 3),
+    ("2*y^2 + 3*x^2*y - 7 - x*y + x",
+     [(_ev(0, 2), 2), (_ev(2, 1), 3), (_ev(0, 0), -7), (_ev(1, 1), -1), (_ev(1, 0), 1)], 8),
+    ("x*y + 2*x*y + y", [(_ev(1, 1), 1), (_ev(1, 1), 2), (_ev(0, 1), 1)], 1),
+    ("x^2 + 0*x + 1", [(_ev(2, 0), 1), (_ev(1, 0), 0), (_ev(0, 0), 1)], 1),
+    ("0", [(_ev(0, 0), 0)], 0),
+    ("5*x*y", [(_ev(1, 1), 5)], 0),
+]
+
+
+@pytest.mark.parametrize("text, pairs, comparisons", _COUNTED_TEXTS)
+def test_parsing_counts_what_poly_from_terms_counts(text, pairs, comparisons):
+    with count_ops() as ref:
+        want = poly_from_terms(GRLEX, pairs)
+    assert ref == OpCounters(comparisons=comparisons)
+    with count_ops() as got:
+        assert parse_poly(text, XY, GRLEX) == want
+    assert got == ref
+    cert = f"vars: x y\norder: grlex\nN: 1\nf: {text}\nlambda[1]: {text}\ng[1]: {text}\n"
+    with count_ops() as got:
+        parsed = parse_certificate(cert)
+    assert (parsed.f, parsed.pairs) == (want, ((want, want),))
+    assert got == OpCounters(comparisons=3 * comparisons)
+
+
+@st.composite
+def _printed_certificates(draw):
+    """A certificate over one of `_printed_polys`' variable sets and orders,
+    with 1 to 3 pairs drawn from the same exponents and coefficients."""
+    vs, f = draw(_printed_polys())
+    terms = st.lists(st.tuples(st.tuples(*[_EXPONENT] * len(vs)), _COEFF), max_size=4)
+    pairs = tuple(
+        tuple(poly_from_terms(f.order, [(ev_make(e), c) for e, c in draw(terms)])
+              for _ in "lg")
+        for _ in range(draw(st.integers(1, 3)))
+    )
+    return Certificate(vs, f.order, f, pairs)
+
+
+def _by_sections(text, vs, order):
+    """The certificate and counters that parse_poly gives section by section
+    (one line a section)."""
+    sections = dict(line.split(": ", 1) for line in text.splitlines())
+    with count_ops() as counted:
+        f = parse_poly(sections["f"], vs, order)
+        pairs = tuple(
+            (parse_poly(sections[f"lambda[{i}]"], vs, order),
+             parse_poly(sections[f"g[{i}]"], vs, order))
+            for i in range(1, int(sections["N"]) + 1)
+        )
+    return Certificate(vs, order, f, pairs), counted
+
+
+@given(cert=_printed_certificates())
+@settings(max_examples=150, deadline=None)
+def test_certificate_batch_reads_as_parse_poly_reads_each_section(cert):
+    text = format_certificate(cert)
+    with count_ops() as counted:
+        got = parse_certificate(text)
+    assert (got, counted) == _by_sections(text, cert.varset, cert.order)
+    assert got == cert
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(textio, "_ROWS", 2)  # term rows moved into columns two at a time
+        assert parse_certificate(text) == cert
+
+
+def _not_canonical(text, names, kind):
+    first = names[0]
+    rest = text if text.startswith("-") else "+ " + text
+    return {
+        "reversed factors": f"{text} + {names[-1]}*{first}",  # x*x for one variable
+        "extra spaces": f"{text} + 2 *  {first} ^ 3",
+        "duplicate term": f"{first} {rest} + {first}",
+        "unsorted term": f"1 {rest} + {first}^2",
+    }[kind]
+
+
+@given(
+    cert=_printed_certificates(),
+    kind=st.sampled_from(["reversed factors", "extra spaces", "duplicate term",
+                          "unsorted term"]),
+    data=st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_certificate_with_one_odd_section_reads_as_each_section_reads(cert, kind, data):
+    lines = format_certificate(cert).splitlines()
+    at = data.draw(st.integers(3, len(lines) - 1))  # f, lambda[i] or g[i]
+    label, section = lines[at].split(": ", 1)
+    lines[at] = f"{label}: {_not_canonical(section, cert.varset.names, kind)}"
+    text = "\n".join(lines) + "\n"
+    with count_ops() as counted:
+        got = parse_certificate(text)
+    assert (got, counted) == _by_sections(text, cert.varset, cert.order)
+
+
+@pytest.mark.parametrize("n", [3, 9, 10**12])  # 9 and 10**12: fewer sections than 2N
+def test_certificate_faults_are_found_in_section_order(n):
+    # lambda[1] is malformed and g[3] is missing: the section read first wins
+    text = (
+        f"vars: x y\norder: grlex\nN: {n}\nf: x^2 - 1\nlambda[1]: x + * y\ng[1]: x - 1\n"
+        "lambda[2]: 1\ng[2]: 0\nlambda[3]: 0\n"
+    )
+    with pytest.raises(ParseError) as e:
+        parse_certificate(text)
+    assert str(e.value) == "expected a coefficient or variable (at position 4)"
+    assert e.value.position == 4
+    with pytest.raises(CertificateFormatError) as e:
+        parse_certificate(text.replace("x + * y", "x + y"))
+    assert str(e.value) == "missing section 'g[3]'"
+
+
+def test_term_search_skips_a_digit_run_it_cannot_start_in():
+    # a term starts at the start of the text or at a sign, so findall over a
+    # long digit run that no term takes stays linear (quadratic: minutes)
+    import time
+
+    findall = textio._term_pattern(("x",)).findall
+    start = time.perf_counter()
+    assert findall("1" * 100_000 + "$") == []
+    assert findall("x + " + "2" * 100_000 + "*x*x") == [("x ", "", "", "", "x")]
+    assert time.perf_counter() - start < 2
