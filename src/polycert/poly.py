@@ -11,6 +11,10 @@ comparison, so adding disjoint supports of sizes m and n costs at most
 m+n-1 comparisons, tallied once.  :func:`add` and :func:`mul_naive` first
 check their inputs (:func:`check_inputs`, uncounted); the kernel's folds of
 polynomials it built skip that (:func:`add_unchecked`).
+
+:func:`poly_from_terms` sorts and combines any term sequence;
+:func:`polys_from_runs` builds many polynomials from term columns and takes
+a run already in order as it stands, counted as that sort would count it.
 """
 
 from __future__ import annotations
@@ -85,6 +89,32 @@ def poly_from_terms(
     else:
         entries.sort(key=lambda e: wrap(pack(e[0])), reverse=True)
     return Polynomial(order, tuple(starmap(term_unchecked, entries)))
+
+
+def polys_from_runs(
+    order: MonomialOrder,
+    degrees: list[ExponentVector],
+    coeffs: list[Coefficient],
+    descending: list[bool],
+    bounds: list[int],
+) -> list[Polynomial]:
+    """:func:`poly_from_terms` of each run of terms ``a:b`` between
+    consecutive `bounds`, where ``descending[i]`` says whether monomial i is
+    above monomial i+1.  A run that strictly decreases with no zero
+    coefficient is a polynomial as it stands, tallied as the n-1 comparisons
+    that ``poly_from_terms``' sort makes on it (a reversed sort of a strictly
+    decreasing list scans one ascending run); any other run goes through
+    ``poly_from_terms``."""
+    terms = terms_unchecked(degrees, coeffs)
+    polys, comparisons = [], 0
+    for a, b in zip(bounds, bounds[1:]):
+        if all(descending[a : b - 1]) and all(coeffs[a:b]):
+            polys.append(Polynomial(order, tuple(terms[a:b])))
+            comparisons += b - a - 1
+        else:
+            polys.append(poly_from_terms(order, zip(degrees[a:b], coeffs[a:b])))
+    tally(comparisons=comparisons)
+    return polys
 
 
 def check_inputs(order: MonomialOrder, *polys: Polynomial) -> None:

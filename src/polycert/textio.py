@@ -28,15 +28,16 @@ scan reads it all.  Canonical text is a run of terms as :func:`print_poly`
 writes them, each one match of a pattern compiled once per variable set;
 one ``findall`` takes them, and the terms are built a column at a time in C
 (exponents and coefficients looked up in bounded tables, packed keys added
-up per variable).  Text in order without zero terms becomes a polynomial
-as it stands; other canonical text goes through
-:func:`~polycert.poly.poly_from_terms`.  :func:`parse_certificate` reads
-all of a certificate's sections in one such batch when all are canonical.
-The general scan (term head, factor, '*' patterns) accepts the whole
-grammar and is the only source of :class:`ParseError`, each with a
-position.  Coefficients are exact at any length: digit strings and integers
-beyond the interpreter's int-string digit limit are converted in pieces,
-without changing the limit.
+up per variable).  :func:`~polycert.poly.polys_from_runs` takes text in
+order without zero terms as it stands and sends other canonical text
+through :func:`~polycert.poly.poly_from_terms`.  :func:`parse_certificate`
+reads all of a certificate's sections in one such batch: its canonical
+sections are built together, each other section is read by the general
+scan on its own, in section order.  The general scan (term head, factor,
+'*' patterns) accepts the whole grammar and is the only source of
+:class:`ParseError`, each with a position.  Coefficients are exact at any
+length: digit strings and integers beyond the interpreter's int-string
+digit limit are converted in pieces, without changing the limit.
 
 :func:`print_poly` looks each exponent's factor text up in a per-variable
 table (:func:`_factor_tables`, cached per variable set and bounded like the
@@ -59,11 +60,10 @@ from operator import add, gt, itemgetter
 from typing import Iterable
 
 from . import poly
-from .counters import tally
 from .errors import CertificateFormatError, FormatError, ParseError
 from .monomial import ExponentVector, MonomialOrder, VariableSet
 from .monomial import ev_make, evs_unchecked, pack_columns
-from .poly import Coefficient, Polynomial, Term, poly_from_terms, terms_unchecked
+from .poly import Coefficient, Polynomial, Term, poly_from_terms, polys_from_runs
 from .verifier import Certificate
 
 # A term is a head (sign, integer, '/' denominator; each optional), then
@@ -181,45 +181,45 @@ _COEFFICIENTS = _Coefficients({"": 1, "+": 1, "-": -1})
 def parse_poly(text: str, varset: VariableSet, order: MonomialOrder) -> Polynomial:
     """Parse a polynomial expression over the given variables.
 
-    Wholly canonical text is read column by column (:func:`_parse_canonical`);
-    any other text is read by the general scan."""
-    if not text.strip():
-        raise ParseError("empty polynomial text", 0)
-    polys = _parse_canonical([text], varset, order)
-    if polys is not None:
-        return polys[0]
-    return poly_from_terms(order, _scan(text, varset))
+    Wholly canonical text is read column by column, any other text by the
+    general scan (:func:`_parse_texts`)."""
+    return _parse_texts([text], varset, order)[0]
 
 
-def _parse_canonical(
+def _parse_texts(
     texts: list[str], varset: VariableSet, order: MonomialOrder
-) -> list[Polynomial] | None:
-    """The polynomial of each of `texts` (at least one), or None unless
-    every text is a nonempty run of canonical terms.
+) -> list[Polynomial]:
+    """The polynomial of each of `texts` (at least one), read in order, so
+    that the first fault raised is the first faulty text's.
 
     One ``findall`` per text; its matches never overlap and never match
     empty, so they take the whole text exactly when their lengths add up to
     its length, and then they are the matches a left-to-right scan makes.
-    All texts' terms are built together, one column at a time in C, from
-    term rows moved into columns (:func:`_read_rows`) a few thousand at a
-    time, so that the term strings die early.  A text whose packed keys
-    strictly decrease and whose coefficients are nonzero becomes a
-    polynomial as it stands, counted as the n-1 comparisons that
-    :func:`~polycert.poly.poly_from_terms` makes on it; any other goes
-    through ``poly_from_terms``."""
+    The terms of all such wholly canonical texts are built together, one
+    column at a time in C, from term rows moved into columns
+    (:func:`_read_rows`) a few thousand at a time, so that the term strings
+    die early; :func:`~polycert.poly.polys_from_runs` makes each text's
+    polynomial.  Canonical text never raises.  Any other text is read by the
+    general scan alone and goes through
+    :func:`~polycert.poly.poly_from_terms`."""
     findall, whole = _term_pattern(varset.names).findall, itemgetter(0)
     exps_by_var: list[list[int]] = [[] for _ in varset.names]
     coeffs: list[Coefficient] = []
     rows: list[tuple[str, ...]] = []
     bounds = [0]
+    polys: list[Polynomial | None] = []  # None: canonical, built below
     for text in texts:
         found = findall(text)
-        if not found or sum(map(len, map(whole, found))) != len(text):
-            return None
-        rows += found
-        bounds.append(bounds[-1] + len(found))
-        if len(rows) >= _ROWS:
-            _read_rows(rows, exps_by_var, coeffs)
+        if found and sum(map(len, map(whole, found))) == len(text):
+            rows += found
+            bounds.append(bounds[-1] + len(found))
+            polys.append(None)
+            if len(rows) >= _ROWS:
+                _read_rows(rows, exps_by_var, coeffs)
+        elif text.strip():
+            polys.append(poly_from_terms(order, _scan(text, varset)))
+        else:
+            raise ParseError("empty polynomial text", 0)
     del found
     _read_rows(rows, exps_by_var, coeffs)
     exps = list(zip(*exps_by_var))
@@ -230,16 +230,8 @@ def _parse_canonical(
     del keys
     evs = evs_unchecked(exps, totals)
     del exps, totals
-    terms = terms_unchecked(evs, coeffs)
-    polys, comparisons = [], 0
-    for a, b in zip(bounds, bounds[1:]):
-        if all(descending[a : b - 1]) and all(coeffs[a:b]):
-            polys.append(Polynomial(order, tuple(terms[a:b])))
-            comparisons += b - a - 1
-        else:
-            polys.append(poly_from_terms(order, zip(evs[a:b], coeffs[a:b])))
-    tally(comparisons=comparisons)
-    return polys
+    canonical = iter(polys_from_runs(order, evs, coeffs, descending, bounds))
+    return [next(canonical) if p is None else p for p in polys]
 
 
 def _read_rows(
@@ -423,24 +415,20 @@ def parse_certificate(text: str) -> Certificate:
 def _parse_sections(
     sections: dict[str, str], n: int, varset: VariableSet, order: MonomialOrder
 ) -> tuple[Polynomial, list[tuple[Polynomial, Polynomial]]]:
-    """f and the n (lambda, g) pairs: in one batch (:func:`_parse_canonical`)
-    when every section is there and wholly canonical, else one section at a
-    time, raising the first fault in that order."""
-    if 2 * n < len(sections):  # else a section is missing: no labels for a huge N
-        labels = ["f", *(f"{s}[{i}]" for i in range(1, n + 1) for s in ("lambda", "g"))]
-        if all(map(sections.__contains__, labels)):
-            polys = _parse_canonical([sections[lb] for lb in labels], varset, order)
-            if polys is not None:
-                return polys[0], list(zip(polys[1::2], polys[2::2]))
-    f = parse_poly(sections["f"], varset, order)
-    pairs = []
+    """f and the n (lambda, g) pairs, read in that order
+    (:func:`_parse_texts`): the first fault raised is a malformed section
+    before the first pair with a missing label, else that missing label."""
+    labels, missing = ["f"], None
     for i in range(1, n + 1):
-        labels = [f"lambda[{i}]", f"g[{i}]"]
-        for label in labels:
-            if label not in sections:
-                raise CertificateFormatError(f"missing section {label!r}")
-        pairs.append(tuple(parse_poly(sections[lb], varset, order) for lb in labels))
-    return f, pairs
+        pair = [f"lambda[{i}]", f"g[{i}]"]
+        missing = next((lb for lb in pair if lb not in sections), None)
+        if missing:
+            break
+        labels += pair
+    polys = _parse_texts([sections[lb] for lb in labels], varset, order)
+    if missing:
+        raise CertificateFormatError(f"missing section {missing!r}")
+    return polys[0], list(zip(polys[1::2], polys[2::2]))
 
 
 def format_certificate(cert: Certificate) -> str:

@@ -693,11 +693,12 @@ def test_certificate_faults_are_found_in_section_order(n):
 
 def test_term_search_skips_a_digit_run_it_cannot_start_in():
     # a term starts at the start of the text or at a sign, so findall over a
-    # long digit run that no term takes stays linear (quadratic: minutes)
+    # long digit run that no term takes stays linear (quadratic: minutes, so
+    # the wide limit fails only without the anchor, not on a slow machine)
     import time
 
     findall = textio._term_pattern(("x",)).findall
     start = time.perf_counter()
     assert findall("1" * 100_000 + "$") == []
     assert findall("x + " + "2" * 100_000 + "*x*x") == [("x ", "", "", "", "x")]
-    assert time.perf_counter() - start < 2
+    assert time.perf_counter() - start < 30
