@@ -5,10 +5,10 @@ the chained heap of Monagan & Pearce (ISSAC 2009).  Given pairs (a_k, b_k)
 it yields the terms of sum_k a_k * b_k in scan order.  It is two steps:
 :func:`merge_sources`, which every merge in the package passes, packs every
 term's key once and checks every input on those keys (one order, one
-dimension, strict descent), and :func:`merge_streams` runs the loop on them
-and checks nothing.  Each term of a_k seeds one stream a_k[i] * b_k whose
-cursor walks b_k's term list, so "the rest of b_k" costs nothing to
-represent.  A stream entry is keyed by the sum of the packed keys
+dimension, strict descent) and its coefficients (ints or Fractions), and
+:func:`merge_streams` runs the loop on them and checks nothing.  Each term
+of a_k seeds one stream a_k[i] * b_k whose cursor walks b_k's term list, so
+"the rest of b_k" costs nothing to represent.  A stream entry is keyed by the sum of the packed keys
 (:func:`key_packer`) of its next product's factors, so no monomial is built
 before it is yielded.  The heap holds each distinct key once, as a plain
 int, and a dict chains to it every entry at that key.  A step takes the
@@ -28,6 +28,19 @@ frozen dataclass ``__init__``.  heapq pops the least key: max-first scans
 negate the keys, min-first scans negate nothing and read every b_k from its
 trailing end.
 
+Rationals are merged on integers, as a rational polynomial is stored over
+one denominator in FLINT's ``fmpq_poly``.  When any coefficient is a
+Fraction, the set-up rewrites every coefficient as an integer numerator
+over one denominator D for the whole merge (:func:`_over_one_den`), so the
+loop multiplies and adds plain ints, with no gcd, and makes one
+``Fraction(S, D)`` per yielded term: a valid certificate makes no gcd in the
+merge at all.  D is taken only while it is at most twice as long, in bits,
+as the shortest denominator it covers; past that (pairwise-coprime
+denominators) the Fractions are merged as given.  An all-integer merge
+keeps its terms as they are.  Either way the counts are the same and the
+results compare equal (a yielded sum of int products alone, in a merge
+with a Fraction, is a Fraction over 1).
+
 Every product in the package is a thin consumer of the engine:
 :func:`mul_heap` merges the single pair (f, g) with at most #f heap keys and
 #f*#g extractions; :func:`mul_heap_gb` adds the buckets of a geobucket up
@@ -39,18 +52,19 @@ and each larger bucket as its own pair; the certificate verifier sets up
 from __future__ import annotations
 
 from enum import Enum
+from fractions import Fraction
 from heapq import heappop, heappush, heapreplace
 from itertools import starmap
-from math import inf
+from math import inf, lcm
 from operator import add, gt, lt
 from typing import Iterable, Iterator
 
 from . import poly
 from .counters import _scopes, tally
-from .errors import FormatError, OrderMismatchError
+from .errors import DomainError, FormatError, OrderMismatchError
 from .geobucket import Geobucket
 from .monomial import ExponentVector, MonomialOrder, ev_unchecked, key_packer
-from .poly import Coefficient, Polynomial, term_unchecked
+from .poly import Coefficient, Polynomial, Term, term_unchecked, terms_unchecked
 
 _UNCOUNTED = heappop, heappush, heapreplace  # C heapq
 
@@ -120,21 +134,24 @@ def merge_products(
     the scopes open while their work was done.  The inputs are checked and
     their keys packed at the call, and the loop starts at the first request.
     """
-    return merge_streams(merge_sources(pairs, order, descending))
+    return merge_streams(*merge_sources(pairs, order, descending))
 
 
 def merge_sources(
     pairs: Iterable[tuple[Polynomial, Polynomial]],
     order: MonomialOrder,
     descending: bool = True,
-) -> list[list]:
+) -> tuple[list[list], int | None]:
     """The set-up of :func:`merge_products`: one source per pair with no
-    empty side, ``[a_k terms, b_k terms in scan order, their signed keys]``.
+    empty side, ``[a_k terms, b_k terms in scan order, their signed keys]``,
+    and the common denominator of their coefficients (:func:`_over_one_den`),
+    or None when the coefficients are as given.
 
     Every polynomial of every pair, empty or not, must be in `order` (else
     ``OrderMismatchError``), of one dimension (one :func:`key_packer` packs
-    every term, else ``DimensionError``) and strictly decreasing (else
-    ``FormatError``): a key is the packed int, negated when `descending`, so
+    every term, else ``DimensionError``), strictly decreasing (else
+    ``FormatError``) and have int or Fraction coefficients (else
+    ``DomainError``): a key is the packed int, negated when `descending`, so
     it rises along b_k's scan-order list, and along a_k's max-first;
     min-first, a_k's keys fall.  Counts nothing.
     """
@@ -152,11 +169,63 @@ def merge_sources(
             raise FormatError("terms not strictly decreasing")
         if ka and kb:
             sources.append(s + [ka, kb])
-    return sources
+    # the one pass over the coefficients that an all-integer merge pays
+    types = {type(t.coeff) for s in lists for ts in s for t in ts}
+    if types <= {int}:
+        return sources, None
+    if not all(issubclass(t, (int, Fraction)) for t in types):
+        bad = next(t.coeff for s in lists for ts in s for t in ts
+                   if not isinstance(t.coeff, (int, Fraction)))
+        raise DomainError(f"coefficient {bad!r} is neither an int nor a Fraction")
+    if not any(issubclass(t, Fraction) for t in types):
+        return sources, None
+    return sources, _over_one_den(sources)
 
 
-def merge_streams(sources: list[list]) -> Iterator[tuple[ExponentVector, Coefficient]]:
-    """The loop of :func:`merge_products` over :func:`merge_sources`' sources."""
+def _over_one_den(sources: list[list]) -> int | None:
+    """Rewrite the coefficients of `sources` as integer numerators over one
+    denominator D and return D; or, when D would be over twice as long, in
+    bits, as the shortest denominator above 1 of any of them, return None
+    and leave them as they are.
+
+    Pair k's sides are scaled by the lcm of their own denominators, da_k
+    and db_k, and its a-side also by D / (da_k * db_k), where D is the lcm
+    of every da_k * db_k: each product, and so each sum, is then D times
+    its value.  The bound keeps every numerator within a few times its
+    length: without it, pairwise-coprime denominators make a D as long as
+    all of them together, and so does the f of a certificate over them.
+    Their lcm alone can take longer than the merge, so it stops early."""
+    sides = [[{t.coeff.denominator for t in ts} for ts in s[:2]] for s in sources]
+    dens = set().union(*(ds for s in sides for ds in s))
+    limit = 2 * min((d.bit_length() for d in dens if d != 1), default=1)
+    common = 1
+    for d in dens:  # each divides D: stop as soon as their lcm is too long
+        if (common := lcm(common, d)).bit_length() > limit:
+            return None
+    side_dens = [[lcm(*ds) for ds in s] for s in sides]
+    den = lcm(*{da * db for da, db in side_dens})
+    if den.bit_length() > limit:
+        return None
+    for s, (da, db) in zip(sources, side_dens):
+        s[0] = _numerators(s[0], da, den // (da * db))
+        s[1] = _numerators(s[1], db, 1)
+    return den
+
+
+def _numerators(terms: tuple[Term, ...], side_den: int, scale: int) -> list[Term]:
+    """`terms` with each coefficient c replaced by the int c * side_den *
+    scale, where side_den is a multiple of every denominator of `terms`;
+    each distinct denominator's factor is worked out once."""
+    factor = {d: side_den // d * scale for d in {t.coeff.denominator for t in terms}}
+    nums = [t.coeff.numerator * factor[t.coeff.denominator] for t in terms]
+    return terms_unchecked([t.degrees for t in terms], nums)
+
+
+def merge_streams(
+    sources: list[list], den: int | None = None
+) -> Iterator[tuple[ExponentVector, Coefficient]]:
+    """The loop of :func:`merge_products` over :func:`merge_sources`' set-up:
+    each yielded sum S is ``Fraction(S, den)`` unless `den` is None."""
     port = CountedHeap()
     counted = port.pop, port.push, port.replace
     scopes = _scopes.get
@@ -197,6 +266,8 @@ def merge_streams(sources: list[list]) -> Iterator[tuple[ExponentVector, Coeffic
             peak = pops = adds = port.comparisons = 0
             da, db = a_terms[i].degrees, bt[j].degrees  # packed: equal lengths
             exps = tuple(map(add, da.exponents, db.exponents))
+            if den is not None:
+                coeff = Fraction(coeff, den)
             yield ev_unchecked(exps, da.total + db.total), coeff
             # scopes open or close only here: sift counted while any is open
             pop, push, replace = counted if (scoped := scopes()) else _UNCOUNTED
@@ -209,14 +280,17 @@ class GbRoute(Enum):
     HYBRID = "hybrid"
 
 
-def collect(order: MonomialOrder, sources: list[list]) -> Polynomial:
-    """The polynomial of the terms :func:`merge_streams` yields from `sources`."""
-    return Polynomial(order, tuple(starmap(term_unchecked, merge_streams(sources))))
+def collect(
+    order: MonomialOrder, sources: list[list], den: int | None = None
+) -> Polynomial:
+    """The polynomial of the terms :func:`merge_streams` yields."""
+    terms = merge_streams(sources, den)
+    return Polynomial(order, tuple(starmap(term_unchecked, terms)))
 
 
 def mul_heap(f: Polynomial, g: Polynomial) -> Polynomial:
     """Johnson multiplication: f supplies the streams, g the term list."""
-    return collect(f.order, merge_sources([(f, g)], f.order))
+    return collect(f.order, *merge_sources([(f, g)], f.order))
 
 
 def mul_heap_gb(
@@ -238,4 +312,5 @@ def mul_heap_gb(
             small = poly.add_unchecked(small, bk)
         else:
             lists.append(bk)
-    return collect(f.order, merge_sources([(f, bk) for bk in lists + [small]], f.order))
+    pairs = [(f, bk) for bk in lists + [small]]
+    return collect(f.order, *merge_sources(pairs, f.order))

@@ -14,7 +14,8 @@ dot product of the exponents with one cached weight vector per order and
 base, the packed key of each unit vector; sorts wrap that int in a counting
 key only inside a counter scope.  :func:`pack_columns` packs the same keys
 from exponents given column by column.  Exponents, totals and keys are plain
-ints, so any degree (x^1000000000 and friends) is fine.
+ints, so any degree (x^1000000000 and friends) is fine; :func:`int_str`
+prints any of them, past the interpreter's int-string digit limit too.
 :func:`ev_unchecked` builds an exponent vector without the dataclass
 ``__init__`` where the exponents are known to be valid, and
 :func:`evs_unchecked` builds a column of them.
@@ -126,8 +127,22 @@ class ExponentVector:
     exponents: tuple[int, ...]
     total: int
 
-    def __repr__(self) -> str:
-        return f"ExponentVector{self.exponents}"
+    def __repr__(self) -> str:  # the tuple's repr, digit-safe
+        exps = ", ".join(map(int_str, self.exponents))
+        return f"ExponentVector({exps}{',' if len(self.exponents) == 1 else ''})"
+
+
+def int_str(n: int) -> str:
+    """str(n), exact beyond the int-string digit limit: a number over the
+    limit is printed as two halves."""
+    try:
+        return str(n)
+    except ValueError:
+        if n < 0:
+            return "-" + int_str(-n)
+        half = n.bit_length() * 3 // 20  # about half of n's digits
+        high, low = divmod(n, 10**half)
+        return int_str(high) + int_str(low).zfill(half)
 
 
 _new = object.__new__

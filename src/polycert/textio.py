@@ -37,7 +37,9 @@ scan on its own, in section order.  The general scan (term head, factor,
 '*' patterns) accepts the whole grammar and is the only source of
 :class:`ParseError`, each with a position.  Coefficients are exact at any
 length: digit strings and integers beyond the interpreter's int-string
-digit limit are converted in pieces, without changing the limit.
+digit limit are converted in pieces, without changing the limit.  Each
+distinct denominator is converted once per call, read or printed: a long
+number's conversion is quadratic in its length.
 
 :func:`print_poly` looks each exponent's factor text up in a per-variable
 table (:func:`_factor_tables`, cached per variable set and bounded like the
@@ -54,15 +56,16 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import compress, islice
 from operator import add, gt, itemgetter
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import poly
 from .errors import CertificateFormatError, FormatError, ParseError
 from .monomial import ExponentVector, MonomialOrder, VariableSet
 from .monomial import ev_make, evs_unchecked, pack_columns
+from .monomial import int_str as _str
 from .poly import Coefficient, Polynomial, Term, poly_from_terms, polys_from_runs
 from .verifier import Certificate
 
@@ -83,19 +86,6 @@ def _int(digits: str) -> int:
     except ValueError:
         half = len(digits) // 2
         return _int(digits[:half]) * 10 ** (len(digits) - half) + _int(digits[half:])
-
-
-def _str(n: int) -> str:
-    """str(n), exact beyond the int-string digit limit: a number over the
-    limit is printed as two halves."""
-    try:
-        return str(n)
-    except ValueError:
-        if n < 0:
-            return "-" + _str(-n)
-        half = n.bit_length() * 3 // 20  # about half of n's digits
-        high, low = divmod(n, 10**half)
-        return _str(high) + _str(low).zfill(half)
 
 
 def format_coeff(c: Coefficient) -> str:
@@ -206,6 +196,7 @@ def _parse_texts(
     exps_by_var: list[list[int]] = [[] for _ in varset.names]
     coeffs: list[Coefficient] = []
     rows: list[tuple[str, ...]] = []
+    denominators = cache(_int)  # for this call: denominators repeat across terms
     bounds = [0]
     polys: list[Polynomial | None] = []  # None: canonical, built below
     for text in texts:
@@ -215,13 +206,13 @@ def _parse_texts(
             bounds.append(bounds[-1] + len(found))
             polys.append(None)
             if len(rows) >= _ROWS:
-                _read_rows(rows, exps_by_var, coeffs)
+                _read_rows(rows, exps_by_var, coeffs, denominators)
         elif text.strip():
             polys.append(poly_from_terms(order, _scan(text, varset)))
         else:
             raise ParseError("empty polynomial text", 0)
     del found
-    _read_rows(rows, exps_by_var, coeffs)
+    _read_rows(rows, exps_by_var, coeffs, denominators)
     exps = list(zip(*exps_by_var))
     totals = list(map(sum, exps))
     keys = pack_columns(order, exps_by_var, totals)
@@ -235,10 +226,14 @@ def _parse_texts(
 
 
 def _read_rows(
-    rows: list[tuple[str, ...]], exps_by_var: list[list[int]], coeffs: list[Coefficient]
+    rows: list[tuple[str, ...]],
+    exps_by_var: list[list[int]],
+    coeffs: list[Coefficient],
+    denominators: Callable[[str], int],
 ) -> None:
     """Move canonical term rows, as ``findall`` gives them, into the
-    exponent columns and the coefficients; `rows` is left empty."""
+    exponent columns and the coefficients, each denominator text read
+    through `denominators`; `rows` is left empty."""
     if not rows:
         return
     _, signs, nums, dens, *factors = zip(*rows)
@@ -248,7 +243,7 @@ def _read_rows(
     start = len(coeffs)
     coeffs += map(_COEFFICIENTS.__getitem__, map(add, signs, nums))
     for i in compress(range(len(dens)), dens):  # only terms with a denominator
-        coeffs[start + i] = Fraction(coeffs[start + i], _int(dens[i]))
+        coeffs[start + i] = Fraction(coeffs[start + i], denominators(dens[i]))
 
 
 def _scan(text: str, varset: VariableSet) -> list[tuple[ExponentVector, Coefficient]]:
@@ -318,10 +313,12 @@ def print_poly(p: Polynomial, varset: VariableSet) -> str:
     """Canonical descending text; reparses to an equal polynomial.
 
     Each variable's factor text is looked up, in C, in a table of that
-    variable's exponents (:func:`_factor_tables`)."""
+    variable's exponents (:func:`_factor_tables`), and each distinct
+    denominator is printed once."""
     if not p.terms:
         return "0"
     tables, factor = _factor_tables(varset.names), dict.__getitem__
+    denominators = cache(_str)  # for this call: denominators repeat across terms
     chunks = []  # one string per term, so the peak stays one object a term
     for t in p.terms:
         c = t.coeff
@@ -331,7 +328,10 @@ def print_poly(p: Polynomial, varset: VariableSet) -> str:
         else:
             sign = " + "
         if c != 1 or not mono:
-            chunks.append(f"{sign}{format_coeff(c)}{mono}")
+            num, den = _str(c.numerator), c.denominator
+            if den != 1:
+                num = f"{num}/{denominators(den)}"
+            chunks.append(f"{sign}{num}{mono}")
         else:
             chunks.append(f"{sign}{mono[1:]}")
     first = chunks[0]

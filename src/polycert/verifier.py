@@ -67,13 +67,16 @@ class VerifyResult:
     stats: VerifyStats
 
 
-def _checked_sources(cert: Certificate, descending: bool, residual: bool) -> list[list]:
+def _checked_sources(
+    cert: Certificate, descending: bool, residual: bool
+) -> tuple[list[list], int | None]:
     """Set up the merge of sum lambda_i f_i, with (-1)*f as its last source
     when `residual`; :func:`~polycert.heapmul.merge_sources` checks `cert`.
 
     The constant -1 is always given, so the dimension must be ``len(varset)``;
     unless `residual`, f is given beside an empty factor, checked but not
-    streamed.  The set-up's errors become :class:`CertificateFormatError`.
+    streamed.  The set-up's errors become :class:`CertificateFormatError`,
+    except a coefficient outside the domain (``DomainError``).
     """
     if not cert.pairs:
         raise CertificateFormatError("certificate needs at least one pair")
@@ -97,9 +100,9 @@ def find_witness(
     """The first nonzero term of (-1)f + sum lambda_i f_i in scan order, or
     None when the certificate holds.  Opens no counter scope, so with none
     open the merge sifts with C heapq and counts nothing."""
-    sources = _checked_sources(cert, direction is ScanDirection.MAX_FIRST, True)
+    setup = _checked_sources(cert, direction is ScanDirection.MAX_FIRST, True)
     # the first nonzero residual term is the witness; the merge stops there
-    return next(merge_streams(sources), None)
+    return next(merge_streams(*setup), None)
 
 
 def verify(
@@ -117,7 +120,7 @@ def verify(
 
 def combine(cert: Certificate) -> Polynomial:
     """Materialize sum lambda_i f_i term by term, greatest monomial first."""
-    return collect(cert.order, _checked_sources(cert, True, False))
+    return collect(cert.order, *_checked_sources(cert, True, False))
 
 
 def verify_naive(cert: Certificate) -> VerifyResult:

@@ -163,3 +163,27 @@ def test_ev_compare_counts_nothing(order, a, b):
 def test_variable_set_rejects_a_name_the_grammar_cannot_read(names):
     with pytest.raises(DomainError):
         VariableSet(names)
+
+
+from polycert import Certificate, Polynomial, Term  # noqa: E402
+from polycert.monomial import int_str  # noqa: E402
+
+
+def test_repr_prints_an_exponent_past_the_digit_limit():
+    big = 10**4400 + 3  # 4401 digits
+    digits = "1" + "0" * 4399 + "3"
+    for exps in [(big,), (big, 0), (2, big)]:
+        # the tuple's repr, with -1 standing in for the long exponent
+        stand_in = repr(tuple(-1 if e == big else e for e in exps))
+        assert repr(ev_make(exps)) == "ExponentVector" + stand_in.replace("-1", digits)
+    vs = VariableSet(("x", "y"))
+    order = MonomialOrder.GRLEX
+    term = Term(ev_make((big, 1)), 2)
+    p = Polynomial(order, (term,))
+    cert = Certificate(vs, order, p, ((p, p),))
+    for value in (term, p, cert):
+        assert digits in repr(value)
+    # small exponents print as the tuple does
+    for exps in [(), (0,), (3, 0, 2)]:
+        assert repr(ev_make(exps)) == f"ExponentVector{exps}"
+    assert int_str(-big) == "-" + digits and int_str(12) == "12"

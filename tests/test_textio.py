@@ -702,3 +702,19 @@ def test_term_search_skips_a_digit_run_it_cannot_start_in():
     assert findall("1" * 100_000 + "$") == []
     assert findall("x + " + "2" * 100_000 + "*x*x") == [("x ", "", "", "", "x")]
     assert time.perf_counter() - start < 30
+
+
+def test_repeated_denominators_are_read_and_printed_exactly():
+    # each distinct denominator is converted once per call; every term's
+    # coefficient is still its own reduced Fraction
+    vs, order = VariableSet(("x", "y")), MonomialOrder.GRLEX
+    long_den = 7 * 10**4400 + 3  # 4402 digits
+    dens = [long_den, 6, long_den, 6, 7]
+    text = " + ".join(f"{i + 2}/{_str(d)}*x^{5 - i}" for i, d in enumerate(dens))
+    p = parse_poly(text + " + 1/07*y", vs, order)
+    want = [Fraction(i + 2, d) for i, d in enumerate(dens)] + [Fraction(1, 7)]
+    assert [t.coeff for t in p.terms] == want
+    printed = print_poly(p, vs)
+    assert printed == " + ".join(
+        f"{format_coeff(c)}*{m}" for c, m in zip(want, ["x^5", "x^4", "x^3", "x^2", "x", "y"]))
+    assert parse_poly(printed, vs, order) == p
