@@ -22,11 +22,11 @@ makes the same comparisons and counts every one in a local int.  That count and 
 tallied once at the end, and right before each yielded term only while a
 scope was open at the last resume; with none open, the counts since then
 belong to no scope and are dropped, so an unscoped merge makes one
-:func:`tally` call.  Yielded monomials (:func:`ev_unchecked`) and
-collected product terms (:func:`term_unchecked`) are built without the
-frozen dataclass ``__init__``.  heapq pops the least key: max-first scans
-negate the keys, min-first scans negate nothing and read every b_k from its
-trailing end.
+:func:`tally` call.  Each yielded term is a finished :class:`Term`, built
+with its monomial without the frozen dataclass ``__init__``, and
+:func:`merge_products` unpacks it into a (monomial, coeff) pair.  heapq pops
+the least key: max-first scans negate the keys, min-first scans negate
+nothing and read every b_k from its trailing end.
 
 Rationals are merged on integers, as a rational polynomial is stored over
 one denominator in FLINT's ``fmpq_poly``.  When any coefficient is a
@@ -54,7 +54,6 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush, heapreplace
-from itertools import starmap
 from math import inf, lcm
 from operator import add, gt, lt
 from typing import Iterable, Iterator
@@ -63,8 +62,9 @@ from . import poly
 from .counters import _scopes, tally
 from .errors import DomainError, FormatError, OrderMismatchError
 from .geobucket import Geobucket
-from .monomial import ExponentVector, MonomialOrder, ev_unchecked, key_packer
-from .poly import Coefficient, Polynomial, Term, term_unchecked, terms_unchecked
+from .monomial import ExponentVector, MonomialOrder, _set_exponents, _set_total, key_packer
+from .poly import Coefficient, Polynomial, Term, _new, _set_coeff, _set_degrees
+from .poly import terms_unchecked
 
 _UNCOUNTED = heappop, heappush, heapreplace  # C heapq
 
@@ -134,7 +134,8 @@ def merge_products(
     the scopes open while their work was done.  The inputs are checked and
     their keys packed at the call, and the loop starts at the first request.
     """
-    return merge_streams(*merge_sources(pairs, order, descending))
+    terms = merge_streams(*merge_sources(pairs, order, descending))
+    return ((t.degrees, t.coeff) for t in terms)
 
 
 def merge_sources(
@@ -221,11 +222,10 @@ def _numerators(terms: tuple[Term, ...], side_den: int, scale: int) -> list[Term
     return terms_unchecked([t.degrees for t in terms], nums)
 
 
-def merge_streams(
-    sources: list[list], den: int | None = None
-) -> Iterator[tuple[ExponentVector, Coefficient]]:
-    """The loop of :func:`merge_products` over :func:`merge_sources`' set-up:
-    each yielded sum S is ``Fraction(S, den)`` unless `den` is None."""
+def merge_streams(sources: list[list], den: int | None = None) -> Iterator[Term]:
+    """The loop of :func:`merge_products` over :func:`merge_sources`' set-up,
+    yielding finished :class:`Term` objects: each yielded sum S is
+    ``Fraction(S, den)`` unless `den` is None."""
     port = CountedHeap()
     counted = port.pop, port.push, port.replace
     scopes = _scopes.get
@@ -265,10 +265,12 @@ def merge_streams(
                 tally(adds, pops, pops, peak, port.comparisons)
             peak = pops = adds = port.comparisons = 0
             da, db = a_terms[i].degrees, bt[j].degrees  # packed: equal lengths
-            exps = tuple(map(add, da.exponents, db.exponents))
-            if den is not None:
-                coeff = Fraction(coeff, den)
-            yield ev_unchecked(exps, da.total + db.total), coeff
+            ev, term = _new(ExponentVector), _new(Term)  # no frozen __init__
+            _set_exponents(ev, tuple(map(add, da.exponents, db.exponents)))
+            _set_total(ev, da.total + db.total)
+            _set_degrees(term, ev)
+            _set_coeff(term, coeff if den is None else Fraction(coeff, den))
+            yield term
             # scopes open or close only here: sift counted while any is open
             pop, push, replace = counted if (scoped := scopes()) else _UNCOUNTED
     tally(adds, pops, pops, peak, port.comparisons)
@@ -284,8 +286,7 @@ def collect(
     order: MonomialOrder, sources: list[list], den: int | None = None
 ) -> Polynomial:
     """The polynomial of the terms :func:`merge_streams` yields."""
-    terms = merge_streams(sources, den)
-    return Polynomial(order, tuple(starmap(term_unchecked, terms)))
+    return Polynomial(order, tuple(merge_streams(sources, den)))
 
 
 def mul_heap(f: Polynomial, g: Polynomial) -> Polynomial:

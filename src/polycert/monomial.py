@@ -15,7 +15,8 @@ base, the packed key of each unit vector; sorts wrap that int in a counting
 key only inside a counter scope.  :func:`pack_columns` packs the same keys
 from exponents given column by column.  Exponents, totals and keys are plain
 ints, so any degree (x^1000000000 and friends) is fine; :func:`int_str`
-prints any of them, past the interpreter's int-string digit limit too.
+prints any of them past the int-string digit limit too, as :func:`num_repr`
+prints the repr of a coefficient.
 :func:`ev_unchecked` builds an exponent vector without the dataclass
 ``__init__`` where the exponents are known to be valid, and
 :func:`evs_unchecked` builds a column of them.
@@ -26,6 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import repeat
 from operator import add, mul
@@ -143,6 +145,13 @@ def int_str(n: int) -> str:
         half = n.bit_length() * 3 // 20  # about half of n's digits
         high, low = divmod(n, 10**half)
         return int_str(high) + int_str(low).zfill(half)
+
+
+def num_repr(c) -> str:
+    """repr(c), with an int or a Fraction's digits printed by :func:`int_str`."""
+    if isinstance(c, Fraction):
+        return f"{type(c).__name__}({int_str(c.numerator)}, {int_str(c.denominator)})"
+    return int_str(c) if isinstance(c, int) else repr(c)
 
 
 _new = object.__new__

@@ -28,6 +28,7 @@ from typing import Iterable, Union
 from .counters import key_factory, tally
 from .errors import EmptyPolynomialError, FormatError, OrderMismatchError
 from .monomial import ExponentVector, MonomialOrder, ev_add, ev_compare, key_packer
+from .monomial import num_repr
 
 Coefficient = Union[int, Fraction]
 
@@ -36,6 +37,9 @@ Coefficient = Union[int, Fraction]
 class Term:
     degrees: ExponentVector
     coeff: Coefficient
+
+    def __repr__(self) -> str:  # the dataclass repr, digit-safe
+        return f"Term(degrees={self.degrees!r}, coeff={num_repr(self.coeff)})"
 
 
 _new = object.__new__

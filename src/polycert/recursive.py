@@ -17,9 +17,11 @@ Conversion from distributed form comes in two flavours:
 The printed nesting is the classic list form, e.g. x^3 - 2x prints as
 ``(x,(3,1),(1,-2))``.
 
-Univariate division lives here too: exact division with remainder over a
-field, and pseudo-division over an integral domain satisfying
-lc(g)^d * f = q*g + r with d = max(deg f - deg g + 1, 0).
+Univariate division lives here too, on int or Fraction coefficients.
+Pseudo-division, lc(g)^d * f = q*g + r with d = max(deg f - deg g + 1, 0),
+multiplies f by lc(g)^d once and divides by g with exact quotients by lc(g):
+q and r are the unique ones over Q, and both are integral.  Division over a
+field divides that q and r by lc(g)^d.
 
 A node may use the anonymous variable (``var=None``) at the outermost level
 only, for univariate polynomials in an unspecified variable; its
@@ -31,10 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Optional, Union
 
 from .errors import DomainError, FormatError, StructureError
-from .monomial import MonomialOrder, VariableSet, ev_make
+from .monomial import MonomialOrder, VariableSet, ev_make, num_repr
 from .poly import Coefficient, Polynomial, Term, poly_from_terms
 from .textio import format_coeff, print_poly
 
@@ -47,6 +50,9 @@ class RecursionMode(Enum):
 @dataclass(frozen=True)
 class Const:
     value: Coefficient
+
+    def __repr__(self) -> str:  # the dataclass repr, digit-safe
+        return f"Const(value={num_repr(self.value)})"
 
 
 @dataclass(frozen=True)
@@ -170,23 +176,15 @@ def univariate(var: Optional[str], pairs) -> Node:
 
 
 def _as_univariate(r: RecursivePoly) -> tuple[Optional[str], list[tuple[int, Coefficient]]]:
-    if isinstance(r, Const):
-        return None, ([] if r.value == 0 else [(0, r.value)])
-    pairs = []
-    for e, c in r.pairs:
+    """The variable of a constant (None) or of a node of constants, and its
+    nonzero (exponent, coefficient) pairs; each coefficient an int or a Fraction."""
+    var, pairs = (None, [(0, r)]) if isinstance(r, Const) else (r.var, r.pairs)
+    for _, c in pairs:
         if not isinstance(c, Const):
             raise DomainError("division requires univariate input")
-        if c.value != 0:
-            pairs.append((e, c.value))
-    return r.var, pairs
-
-
-def _check_same_var(f: RecursivePoly, g: RecursivePoly):
-    vf, pf = _as_univariate(f)
-    vg, pg = _as_univariate(g)
-    if vf is not None and vg is not None and vf != vg:
-        raise DomainError(f"different main variables: {vf} vs {vg}")
-    return vf if vf is not None else vg, pf, pg
+        if not isinstance(c.value, (int, Fraction)):
+            raise DomainError(f"coefficient {c.value!r} is neither an int nor a Fraction")
+    return var, [(e, c.value) for e, c in pairs if c.value != 0]
 
 
 def _rebuild(var: Optional[str], pairs) -> RecursivePoly:
@@ -198,33 +196,15 @@ def _rebuild(var: Optional[str], pairs) -> RecursivePoly:
     return univariate(var, pairs)
 
 
-def _sub_scaled(a, b, c, shift):
-    """a - c * x^shift * b on (exp, coeff) dict form."""
-    d = dict(a)
-    for e, bc in b:
-        key = e + shift
-        d[key] = d.get(key, 0) - c * bc
-        if d[key] == 0:
-            del d[key]
-    return sorted(d.items(), reverse=True)
-
-
 def univ_divide(f: RecursivePoly, g: RecursivePoly):
-    """Division with remainder over a field: f = q*g + r, deg r < deg g."""
-    var, pf, pg = _check_same_var(f, g)
-    if not pg:
-        raise ZeroDivisionError("division by the zero polynomial")
-    pf = [(e, Fraction(c)) for e, c in pf]
-    dg, lg = pg[0][0], Fraction(pg[0][1])
-    pg_f = [(e, Fraction(c)) for e, c in pg]
-    q: list[tuple[int, Fraction]] = []
-    r = pf
-    while r and r[0][0] >= dg:
-        factor = r[0][1] / lg
-        shift = r[0][0] - dg
-        q.append((shift, factor))
-        r = _sub_scaled(r, pg_f, factor, shift)
-    return _rebuild(var, q), _rebuild(var, r)
+    """Division with remainder over a field: f = q*g + r, deg r < deg g; the
+    q and r of :func:`univ_pseudo_divide` over lc(g)**d, as Fractions."""
+    *results, d = univ_pseudo_divide(f, g)
+    scale = _as_univariate(g)[1][0][1] ** d
+    return tuple(
+        _rebuild(var, [(e, Fraction(c, scale)) for e, c in pairs])
+        for var, pairs in map(_as_univariate, results)
+    )
 
 
 def univ_pseudo_divide(f: RecursivePoly, g: RecursivePoly):
@@ -233,27 +213,25 @@ def univ_pseudo_divide(f: RecursivePoly, g: RecursivePoly):
     Returns (q, r, d) with lc(g)**d * f = q*g + r, deg r < deg g and
     d = max(deg f - deg g + 1, 0).
     """
-    var, pf, pg = _check_same_var(f, g)
+    (vf, pf), (vg, pg) = _as_univariate(f), _as_univariate(g)
+    if vf is not None and vg is not None and vf != vg:
+        raise DomainError(f"different main variables: {vf} vs {vg}")
+    var = vf if vf is not None else vg
     if not pg:
-        raise ZeroDivisionError("pseudo-division by the zero polynomial")
-    dg, lg = pg[0][0], pg[0][1]
-    df = pf[0][0] if pf else 0
-    delta = max(df - dg + 1, 0) if pf else 0
-    steps: list[tuple[int, Coefficient]] = []  # (shift, lc(r)) per step
-    r = list(pf)
-    while r and r[0][0] >= dg:
-        lr, dr = r[0][1], r[0][0]
-        steps.append((dr - dg, lr))
-        # scale r by lc(g), then cancel the head
-        r = [(e, lg * c) for e, c in r]
-        r = _sub_scaled(r, pg, lr, dr - dg)
-    # pad so the identity uses exactly lc(g)**delta
-    pad = lg ** (delta - len(steps))
-    r = [(e, pad * c) for e, c in r]
-    # step k's quotient term would have been scaled by lc(g) at each later
-    # step and by the pad: lc(g)**(delta-1-k), built from the last step back
-    q = []
-    for shift, lr in reversed(steps):
-        q.append((shift, pad * lr))
-        pad *= lg
-    return _rebuild(var, q), _rebuild(var, r), delta
+        raise ZeroDivisionError("division by the zero polynomial")
+    (dg, lg), tail = pg[0], pg[1:]
+    delta = max(pf[0][0] - dg + 1, 0) if pf else 0
+    scale, whole, q = lg**delta, isinstance(lg, int), []
+    rem = {e: scale * c for e, c in pf}  # lc(g)^d * f, then what is left of it
+    heap = [-e for e, _ in pf]  # rem's keys, negated: ascending, so a heap
+    while heap and -heap[0] >= dg:
+        e = -heappop(heap)
+        if c := rem.pop(e):
+            c = c // lg if whole and isinstance(c, int) else c / lg  # exact: q is integral
+            q.append((e - dg, c))
+            for eg, cg in tail:
+                k = e - dg + eg
+                if k not in rem:
+                    heappush(heap, -k)
+                rem[k] = rem.get(k, 0) - c * cg or 0  # a sum of 0 restarts as the int 0
+    return _rebuild(var, q), _rebuild(var, rem.items()), delta

@@ -102,7 +102,7 @@ def find_witness(
     open the merge sifts with C heapq and counts nothing."""
     setup = _checked_sources(cert, direction is ScanDirection.MAX_FIRST, True)
     # the first nonzero residual term is the witness; the merge stops there
-    return next(merge_streams(*setup), None)
+    return next(((t.degrees, t.coeff) for t in merge_streams(*setup)), None)
 
 
 def verify(

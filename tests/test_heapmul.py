@@ -360,3 +360,41 @@ def test_each_route_makes_its_old_branch_product_and_counts(order, route):
                 want = _old_route(f, gb, route, threshold)
             assert got == want
             assert new == old
+
+
+# -- what the merge yields -------------------------------------------------------
+
+from polycert import Certificate, ExponentVector, VariableSet, find_witness  # noqa: E402
+
+
+@pytest.mark.parametrize("order", ORDERS)
+@pytest.mark.parametrize("rational", [False, True])
+def test_products_are_built_of_terms_and_merges_yield_pairs(order, rational):
+    rng = random.Random(31)
+    for _ in range(10):
+        f = random_poly(rng, order, rng.randrange(1, 8), rational=rational)
+        g = random_poly(rng, order, rng.randrange(1, 8))
+        gb = _random_gb(rng, order, rng.randrange(1, 6))
+        products = [mul_heap(f, g)] + [mul_heap_gb(f, gb, route, 2) for route in GbRoute]
+        for h in products:
+            assert all(type(t) is Term and type(t.degrees) is ExponentVector for t in h.terms)
+        for descending in (True, False):
+            merged = list(merge_products([(f, g)], order, descending))
+            assert all(type(m) is tuple and len(m) == 2 for m in merged)
+            assert all(type(ev) is ExponentVector for ev, _ in merged)
+            terms = products[0].terms[:: 1 if descending else -1]
+            assert merged == [(t.degrees, t.coeff) for t in terms]
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_find_witness_returns_a_pair_or_none(order):
+    rng = random.Random(37)
+    xy = VariableSet(("x", "y"))
+    for _ in range(10):
+        lam, g = (random_poly(rng, order, rng.randrange(1, 6), nvars=2) for _ in "lg")
+        f = mul_naive(lam, g)
+        assert find_witness(Certificate(xy, order, f, ((lam, g),))) is None
+        extra = poly_from_terms(order, [(ev_make((20, 20)), 5)])  # above every term of f
+        witness = find_witness(Certificate(xy, order, add(f, extra), ((lam, g),)))
+        assert type(witness) is tuple and len(witness) == 2
+        assert type(witness[0]) is ExponentVector and witness == (ev_make((20, 20)), -5)
