@@ -16,8 +16,8 @@ not below the top bucket's head into the top bucket, restoring the
 invariant that the value's leading monomial lives in the highest nonempty
 bucket.  Both return identical answers; only maintenance cost differs.  A
 strategy is an :class:`LcStrategy` or its value.  :meth:`Geobucket.add`
-checks what it is given (:func:`~polycert.poly.check_inputs`), not the
-buckets it merges; a head scan tallies its comparisons once.
+checks what it is given (:func:`~polycert.poly.checked_keys`) before it
+touches a bucket; a head scan tallies its comparisons once.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class Geobucket:
         return k
 
     def add(self, p: Polynomial) -> None:
-        poly.check_inputs(self.order, p)
+        poly.checked_keys(self.order, [p])
         if not p.terms:
             return
         self._merge_into(self._target_bucket(len(p.terms)), p)
@@ -72,12 +72,12 @@ class Geobucket:
     def _merge_into(self, k: int, p: Polynomial) -> None:
         """Merge p into bucket k, cascading up while the result exceeds c**k terms."""
         self._ensure_bucket(k)
-        p = poly.add_unchecked(self.buckets[k], p)
+        p = poly.add(self.buckets[k], p)
         while len(p.terms) > self.c**k:
             self.buckets[k] = poly.zero(self.order)
             k += 1
             self._ensure_bucket(k)
-            p = poly.add_unchecked(self.buckets[k], p)
+            p = poly.add(self.buckets[k], p)
         self.buckets[k] = p
 
     def _top_index(self) -> int:
@@ -157,7 +157,7 @@ class Geobucket:
         """Collapse to a plain polynomial, adding buckets small to large."""
         acc = poly.zero(self.order)
         for bk in self.buckets[1:]:
-            acc = poly.add_unchecked(acc, bk)
+            acc = poly.add(acc, bk)
         return acc
 
     def check_invariants(self) -> bool:

@@ -3,14 +3,15 @@
 :func:`merge_products` is Johnson's (1974) merge of unevaluated products on
 the chained heap of Monagan & Pearce (ISSAC 2009).  Given pairs (a_k, b_k)
 it yields the terms of sum_k a_k * b_k in scan order.  It is two steps:
-:func:`merge_sources`, which every merge in the package passes, packs every
-term's key once and checks every input on those keys (one order, one
-dimension, strict descent) and its coefficients (ints or Fractions), and
-:func:`merge_streams` runs the loop on them and checks nothing.  Each term
-of a_k seeds one stream a_k[i] * b_k whose cursor walks b_k's term list, so
-"the rest of b_k" costs nothing to represent.  A stream entry is keyed by the sum of the packed keys
-(:func:`key_packer`) of its next product's factors, so no monomial is built
-before it is yielded.  The heap holds each distinct key once, as a plain
+:func:`merge_sources`, which every merge in the package passes, takes every
+term's packed key from the package's one input check
+(:func:`~polycert.poly.checked_keys`: one order, one dimension, strict
+descent, int or Fraction coefficients), and :func:`merge_streams` runs the
+loop on them and checks nothing.  Each term of a_k seeds one stream
+a_k[i] * b_k whose cursor walks b_k's term list, so "the rest of b_k" costs
+nothing to represent.  A stream entry is keyed by the sum of the packed
+keys of its next product's factors, so no monomial is built before it is
+yielded.  The heap holds each distinct key once, as a plain
 int, and a dict chains to it every entry at that key.  A step takes the
 least key's whole chain and sums its products, so each yielded term is final
 and the output is built by O(1) appends; each entry's successor joins the
@@ -55,14 +56,13 @@ from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush, heapreplace
 from math import inf, lcm
-from operator import add, gt, lt
+from operator import add, neg
 from typing import Iterable, Iterator
 
 from . import poly
 from .counters import _scopes, tally
-from .errors import DomainError, FormatError, OrderMismatchError
 from .geobucket import Geobucket
-from .monomial import ExponentVector, MonomialOrder, _set_exponents, _set_total, key_packer
+from .monomial import ExponentVector, MonomialOrder, _set_exponents, _set_total
 from .poly import Coefficient, Polynomial, Term, _new, _set_coeff, _set_degrees
 from .poly import terms_unchecked
 
@@ -148,36 +148,18 @@ def merge_sources(
     and the common denominator of their coefficients (:func:`_over_one_den`),
     or None when the coefficients are as given.
 
-    Every polynomial of every pair, empty or not, must be in `order` (else
-    ``OrderMismatchError``), of one dimension (one :func:`key_packer` packs
-    every term, else ``DimensionError``), strictly decreasing (else
-    ``FormatError``) and have int or Fraction coefficients (else
-    ``DomainError``): a key is the packed int, negated when `descending`, so
-    it rises along b_k's scan-order list, and along a_k's max-first;
-    min-first, a_k's keys fall.  Counts nothing.
+    Every polynomial of every pair, empty or not, passes
+    :func:`~polycert.poly.checked_keys`.  A key is the packed int, negated
+    when `descending`, so it rises along b_k's scan-order list, and along
+    a_k's max-first; min-first, a_k's keys fall.  Counts nothing.
     """
-    lists = []
-    for a, b in pairs:
-        if a.order is not order or b.order is not order:
-            raise OrderMismatchError(f"{a.order}, {b.order} in a {order} merge")
-        lists.append([a.terms, b.terms if descending else b.terms[::-1]])
-    pack = key_packer(order, [t.degrees for s in lists for ts in s for t in ts], 2)
-    sign, a_rises = (-1, lt) if descending else (1, gt)
-    sources = []
-    for s in lists:
-        ka, kb = ([sign * pack(t.degrees) for t in ts] for ts in s)
-        if not (all(map(lt, kb, kb[1:])) and all(map(a_rises, ka, ka[1:]))):
-            raise FormatError("terms not strictly decreasing")
-        if ka and kb:
-            sources.append(s + [ka, kb])
-    # the one pass over the coefficients that an all-integer merge pays
-    types = {type(t.coeff) for s in lists for ts in s for t in ts}
-    if types <= {int}:
-        return sources, None
-    if not all(issubclass(t, (int, Fraction)) for t in types):
-        bad = next(t.coeff for s in lists for ts in s for t in ts
-                   if not isinstance(t.coeff, (int, Fraction)))
-        raise DomainError(f"coefficient {bad!r} is neither an int nor a Fraction")
+    pairs = list(pairs)
+    keys = iter(poly.checked_keys(order, [p for pair in pairs for p in pair], 2))
+    sources = [[a.terms, b.terms, list(map(neg, ka)), list(map(neg, kb))] if descending
+               else [a.terms, b.terms[::-1], ka, kb[::-1]]
+               for (a, b), ka, kb in zip(pairs, keys, keys) if a.terms and b.terms]
+    # a merge with a Fraction runs on integer numerators over one denominator
+    types = {type(t.coeff) for pair in pairs for p in pair for t in p.terms}
     if not any(issubclass(t, Fraction) for t in types):
         return sources, None
     return sources, _over_one_den(sources)
@@ -310,7 +292,7 @@ def mul_heap_gb(
     small, lists = poly.zero(g.order), []
     for bk in g.buckets[1:]:
         if len(bk.terms) <= fold:
-            small = poly.add_unchecked(small, bk)
+            small = poly.add(small, bk)
         else:
             lists.append(bk)
     pairs = [(f, bk) for bk in lists + [small]]

@@ -5,12 +5,11 @@ order, with no zero coefficients; the empty tuple is zero.  Coefficients are
 exact: Python ints or :class:`fractions.Fraction` (both arbitrary precision,
 and both nontrivial rings, so the degenerate 0=1 ring never arises).
 
-Addition is the classic sorted merge, implemented iteratively.  Every merge
-step in which both inputs are nonempty costs exactly one monomial
-comparison, so adding disjoint supports of sizes m and n costs at most
-m+n-1 comparisons, tallied once.  :func:`add` and :func:`mul_naive` first
-check their inputs (:func:`check_inputs`, uncounted); the kernel's folds of
-polynomials it built skip that (:func:`add_unchecked`).
+Every kernel checks its inputs, uncounted, in :func:`checked_keys`, which
+returns their packed keys: :func:`add` is the classic sorted merge on them.
+Every merge step in which both inputs are nonempty costs exactly one
+monomial comparison, so adding disjoint supports of sizes m and n costs at
+most m+n-1 comparisons, tallied once.
 
 :func:`poly_from_terms` sorts and combines any term sequence;
 :func:`polys_from_runs` builds many polynomials from term columns and takes
@@ -23,11 +22,13 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat, starmap
+from operator import gt
 from typing import Iterable, Union
 
 from .counters import key_factory, tally
-from .errors import EmptyPolynomialError, FormatError, OrderMismatchError
-from .monomial import ExponentVector, MonomialOrder, ev_add, ev_compare, key_packer
+from .errors import DomainError, EmptyPolynomialError, FormatError, KernelError
+from .errors import OrderMismatchError
+from .monomial import ExponentVector, MonomialOrder, ev_add, key_packer
 from .monomial import num_repr
 
 Coefficient = Union[int, Fraction]
@@ -121,35 +122,47 @@ def polys_from_runs(
     return polys
 
 
-def check_inputs(order: MonomialOrder, *polys: Polynomial) -> None:
-    """Raise unless each of `polys` is in `order` (:class:`OrderMismatchError`)
-    and strictly decreasing (:class:`FormatError`); counts nothing."""
+def checked_keys(
+    order: MonomialOrder, polys: list[Polynomial], summands: int = 1
+) -> list[list[int]]:
+    """The packed keys of each of `polys`' terms, from one :func:`key_packer`
+    for sums of `summands` keys, if each polynomial is in `order` (else
+    :class:`OrderMismatchError`), all are of one dimension (else
+    :class:`DimensionError`), each is strictly decreasing (else
+    :class:`FormatError`) and each coefficient is an int or a Fraction
+    (:func:`check_coefficients`).  Zero coefficients pass; counts nothing."""
     for p in polys:
         if p.order is not order:
             raise OrderMismatchError(f"{p.order} vs {order}")
-        if not _descending(p):
-            raise FormatError("terms not strictly decreasing")
+    pack = key_packer(order, [t.degrees for p in polys for t in p.terms], summands)
+    keys = [[pack(t.degrees) for t in p.terms] for p in polys]
+    if not all(all(map(gt, k, k[1:])) for k in keys):
+        raise FormatError("terms not strictly decreasing")
+    check_coefficients([t.coeff for p in polys for t in p.terms])
+    return keys
+
+
+def check_coefficients(coeffs: list) -> None:
+    """Raise :class:`DomainError` for the first of `coeffs` that is neither
+    an int nor a Fraction."""
+    if not all(issubclass(t, (int, Fraction)) for t in set(map(type, coeffs))):
+        bad = next(c for c in coeffs if not isinstance(c, (int, Fraction)))
+        raise DomainError(f"coefficient {bad!r} is neither an int nor a Fraction")
 
 
 def add(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Merge-add two sorted polynomials, after checking both."""
-    check_inputs(p.order, p, q)
-    return add_unchecked(p, q)
-
-
-def add_unchecked(p: Polynomial, q: Polynomial) -> Polynomial:
-    """:func:`add` of two polynomials of one order that the caller vouches
-    are strictly decreasing."""
+    """Merge-add two sorted polynomials on their checked keys."""
+    kp, kq = checked_keys(p.order, [p, q])
     pt, qt = p.terms, q.terms
     np_, nq = len(pt), len(qt)
     i = j = adds = 0
     out: list[Term] = []
     while i < np_ and j < nq:
-        c = ev_compare(p.order, pt[i].degrees, qt[j].degrees)
-        if c > 0:
+        a, b = kp[i], kq[j]
+        if a > b:
             out.append(pt[i])
             i += 1
-        elif c < 0:
+        elif a < b:
             out.append(qt[j])
             j += 1
         else:
@@ -194,10 +207,10 @@ def term_mul(t: Term, p: Polynomial) -> Polynomial:
 
 def mul_naive(p: Polynomial, q: Polynomial) -> Polynomial:
     """Schoolbook product: fold term-times-q through merge addition."""
-    check_inputs(p.order, p, q)
+    checked_keys(p.order, [p, q])
     acc = zero(p.order)
     for t in p.terms:
-        acc = add_unchecked(acc, term_mul(t, q))
+        acc = add(acc, term_mul(t, q))
     return acc
 
 
@@ -211,11 +224,10 @@ def term_count(p: Polynomial) -> int:
     return len(p.terms)
 
 
-def _descending(p: Polynomial) -> bool:
-    order, degrees = p.order, [t.degrees for t in p.terms]
-    return all(ev_compare(order, a, b) > 0 for a, b in zip(degrees, degrees[1:]))
-
-
 def is_well_formed(p: Polynomial) -> bool:
-    """Strictly decreasing term list, no zero coefficients."""
-    return all(t.coeff != 0 for t in p.terms) and _descending(p)
+    """Passes :func:`checked_keys` and has no zero coefficients."""
+    try:
+        checked_keys(p.order, [p])
+    except KernelError:
+        return False
+    return all(t.coeff != 0 for t in p.terms)

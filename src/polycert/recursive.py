@@ -38,7 +38,7 @@ from typing import Optional, Union
 
 from .errors import DomainError, FormatError, StructureError
 from .monomial import MonomialOrder, VariableSet, ev_make, num_repr
-from .poly import Coefficient, Polynomial, Term, poly_from_terms
+from .poly import Coefficient, Polynomial, Term, check_coefficients, poly_from_terms
 from .textio import format_coeff, print_poly
 
 
@@ -179,11 +179,9 @@ def _as_univariate(r: RecursivePoly) -> tuple[Optional[str], list[tuple[int, Coe
     """The variable of a constant (None) or of a node of constants, and its
     nonzero (exponent, coefficient) pairs; each coefficient an int or a Fraction."""
     var, pairs = (None, [(0, r)]) if isinstance(r, Const) else (r.var, r.pairs)
-    for _, c in pairs:
-        if not isinstance(c, Const):
-            raise DomainError("division requires univariate input")
-        if not isinstance(c.value, (int, Fraction)):
-            raise DomainError(f"coefficient {c.value!r} is neither an int nor a Fraction")
+    if not all(isinstance(c, Const) for _, c in pairs):
+        raise DomainError("division requires univariate input")
+    check_coefficients([c.value for _, c in pairs])
     return var, [(e, c.value) for e, c in pairs if c.value != 0]
 
 

@@ -185,14 +185,15 @@ def _parse_texts(
     One ``findall`` per text; its matches never overlap and never match
     empty, so they take the whole text exactly when their lengths add up to
     its length, and then they are the matches a left-to-right scan makes.
-    The terms of all such wholly canonical texts are built together, one
-    column at a time in C, from term rows moved into columns
-    (:func:`_read_rows`) a few thousand at a time, so that the term strings
-    die early; :func:`~polycert.poly.polys_from_runs` makes each text's
-    polynomial.  Canonical text never raises.  Any other text is read by the
-    general scan alone and goes through
+    Such matches include one at 0, where ``findall`` tries first, so text
+    with no term at 0 skips ``findall``.  The terms of all wholly canonical
+    texts are built together, one column at a time in C, from term rows
+    moved into columns (:func:`_read_rows`) a few thousand at a time, so
+    that the term strings die early; :func:`~polycert.poly.polys_from_runs`
+    makes each text's polynomial.  Canonical text never raises.  Any other
+    text is read by the general scan alone and goes through
     :func:`~polycert.poly.poly_from_terms`."""
-    findall, whole = _term_pattern(varset.names).findall, itemgetter(0)
+    pattern, whole = _term_pattern(varset.names), itemgetter(0)
     exps_by_var: list[list[int]] = [[] for _ in varset.names]
     coeffs: list[Coefficient] = []
     rows: list[tuple[str, ...]] = []
@@ -200,7 +201,7 @@ def _parse_texts(
     bounds = [0]
     polys: list[Polynomial | None] = []  # None: canonical, built below
     for text in texts:
-        found = findall(text)
+        found = pattern.match(text) and pattern.findall(text)
         if found and sum(map(len, map(whole, found))) == len(text):
             rows += found
             bounds.append(bounds[-1] + len(found))
@@ -357,7 +358,7 @@ def read_naive(
     for ev, c in stream:
         if c == 0:
             raise FormatError("zero coefficient in term stream")
-        acc = poly.add_unchecked(acc, Polynomial(order, (Term(ev, c),)))
+        acc = poly.add(acc, Polynomial(order, (Term(ev, c),)))
     return acc
 
 

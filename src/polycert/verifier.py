@@ -37,7 +37,7 @@ from .errors import (
     CertificateFormatError, DimensionError, FormatError, OrderMismatchError,
 )
 from .heapmul import collect, merge_sources, merge_streams
-from .monomial import ExponentVector, MonomialOrder, VariableSet, ev_make
+from .monomial import ExponentVector, MonomialOrder, VariableSet, ev_make, num_repr
 from .poly import Coefficient, Polynomial, Term
 
 
@@ -65,6 +65,10 @@ class VerifyResult:
     valid: bool
     witness: Optional[tuple[ExponentVector, Coefficient]]
     stats: VerifyStats
+
+    def __repr__(self) -> str:  # the dataclass repr, digit-safe
+        w = self.witness and f"({self.witness[0]!r}, {num_repr(self.witness[1])})"
+        return f"VerifyResult(valid={self.valid!r}, witness={w}, stats={self.stats!r})"
 
 
 def _checked_sources(
@@ -132,7 +136,7 @@ def verify_naive(cert: Certificate) -> VerifyResult:
         for lam_i, f_i in cert.pairs:
             prod = poly.mul_naive(lam_i, f_i)
             peak = max(peak, len(residual.terms) + len(prod.terms))
-            residual = poly.add_unchecked(residual, prod)
+            residual = poly.add(residual, prod)
     # -f keeps any zero coefficient of f where no product reaches it
     witness = next(((t.degrees, t.coeff) for t in residual.terms if t.coeff != 0), None)
     return VerifyResult(witness is None, witness, VerifyStats(counters, peak))

@@ -69,3 +69,16 @@ def test_repr_past_the_limit(c):
     n = univariate("x", [(2, c), (0, 1)])
     assert isinstance(n, Node)
     assert repr(n) == _with_no_digit_limit(lambda: repr(n))
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no digit limit in force")
+def test_verify_result_repr_past_the_limit():
+    from polycert import Certificate, VariableSet, verify, verify_naive
+
+    grlex = MonomialOrder.GRLEX
+    f = Polynomial(grlex, (Term(ev_make((1,)), 10**4400),))  # f = 10**4400 * x
+    one = Polynomial(grlex, (Term(ev_make((0,)), 1),))
+    cert = Certificate(VariableSet(("x",)), grlex, f, ((one, one),))
+    for result in (verify(cert), verify_naive(cert)):
+        assert result.witness == (ev_make((1,)), -(10**4400))
+        assert repr(result) == _with_no_digit_limit(lambda: repr(result))

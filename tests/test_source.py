@@ -32,7 +32,9 @@ def _imported_modules(path):
             yield from (f"{base}.{alias.name}" for alias in node.names)
 
 
-@pytest.mark.parametrize("module, banned", [("monomial", "counters"), ("textio", "geobucket")])
+@pytest.mark.parametrize("module, banned", [
+    ("monomial", "counters"), ("textio", "geobucket"), ("poly", "monomial.ev_compare"),
+])
 def test_module_imports_nothing_from(module, banned):
     banned = f"polycert.{banned}"
     found = [

@@ -718,3 +718,25 @@ def test_repeated_denominators_are_read_and_printed_exactly():
     assert printed == " + ".join(
         f"{format_coeff(c)}*{m}" for c, m in zip(want, ["x^5", "x^4", "x^3", "x^2", "x", "y"]))
     assert parse_poly(printed, vs, order) == p
+
+
+class _FindallSpy:
+    """A term pattern that records each text its ``findall`` is given."""
+
+    def __init__(self, pattern):
+        self.match, self._findall, self.texts = pattern.match, pattern.findall, []
+
+    def findall(self, text):
+        self.texts.append(text)
+        return self._findall(text)
+
+
+def test_text_that_does_not_start_with_a_canonical_term_never_reaches_findall():
+    vs, order = VariableSet(("x", "y")), MonomialOrder.GRLEX
+    spy = _FindallSpy(textio._term_pattern(vs.names))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(textio, "_term_pattern", lambda names: spy)
+        odd = parse_poly("3 * x^2 + 2*x*y - y", vs, order)
+        canonical = parse_poly("3*x^2 + 2*x*y - y", vs, order)
+    assert odd == canonical
+    assert spy.texts == ["3*x^2 + 2*x*y - y"]
