@@ -7,7 +7,7 @@ verifier, text formats, and a CLI.
 """
 
 from .counters import OpCounters, count_ops
-from .geobucket import Geobucket, LcStrategy, gb_new
+from .geobucket import Geobucket, gb_new
 from .heapmul import GbRoute, mul_heap, mul_heap_gb
 from .monomial import (
     ExponentVector,
@@ -63,7 +63,6 @@ __all__ = [
     "ExponentVector",
     "GbRoute",
     "Geobucket",
-    "LcStrategy",
     "MonomialOrder",
     "Node",
     "OpCounters",

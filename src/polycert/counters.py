@@ -11,7 +11,7 @@ A comparison made in C by a sort ticks where it is made
 other count is kept in local ints by its kernel and handed over by
 :func:`tally`: a merge, whose heap port counts every comparison it makes,
 once at its end and, only while a scope is open, right before each term it
-yields; any other kernel (a merge-add, a geobucket's head scan) once.
+yields; any other kernel (a merge-add, a scale) once.
 Scopes open or close only between a merge's yields, so each count lands in
 the scopes open while its work was done, and a merge run with none open
 pays one :func:`tally` call, not one per term.

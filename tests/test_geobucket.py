@@ -1,8 +1,10 @@
 import pytest
 
 from polycert import (
-    LcStrategy,
     MonomialOrder,
+    OpCounters,
+    Polynomial,
+    Term,
     add,
     count_ops,
     ev_make,
@@ -10,10 +12,10 @@ from polycert import (
     poly_from_terms,
     zero,
 )
-from polycert.errors import DomainError, OrderMismatchError
+from polycert.errors import DomainError, FormatError, OrderMismatchError
 from polycert.poly import is_well_formed
 
-from conftest import random_poly
+from conftest import ORDERS, random_poly
 
 GRLEX = MonomialOrder.GRLEX
 
@@ -23,9 +25,9 @@ def up(pairs, order=GRLEX):
 
 
 def test_new():
-    gb = gb_new(GRLEX, 4, LcStrategy.SCAN_ALL)
+    gb = gb_new(GRLEX, 4)
     assert gb.normalize().is_zero()
-    assert gb_new(MonomialOrder.LEX, 2, LcStrategy.LARGEST_BUCKET).normalize().is_zero()
+    assert gb_new(MonomialOrder.LEX, 2).normalize().is_zero()
     with pytest.raises(DomainError):
         gb_new(GRLEX, 1)
 
@@ -64,51 +66,6 @@ def test_cascade_on_disjoint_four_term_blocks():
     assert len(gb.normalize().terms) == 20
 
 
-@pytest.mark.parametrize("strategy", list(LcStrategy))
-def test_leading_term_examples(strategy):
-    gb = gb_new(GRLEX, 4, strategy)
-    assert gb.leading_term() is None
-    gb.add(up([(1, 1)]))
-    gb.add(up([(2, 1), (0, 1)]))
-    lt = gb.leading_term()
-    assert lt.degrees.exponents == (2,) and lt.coeff == 1
-    # hidden zero across buckets
-    gb2 = gb_new(GRLEX, 4, strategy)
-    gb2.add(up([(1, 1)]))
-    gb2.add(up([(1, -1)]))
-    assert gb2.leading_term() is None
-
-
-@pytest.mark.parametrize("strategy", list(LcStrategy))
-def test_extract_leading(strategy):
-    gb = gb_new(GRLEX, 4, strategy)
-    gb.add(up([(2, 1), (0, 2)]))
-    t = gb.extract_leading()
-    assert t.degrees.exponents == (2,) and t.coeff == 1
-    assert gb.normalize() == up([(0, 2)])
-    empty = gb_new(GRLEX, 4, strategy)
-    assert empty.extract_leading() is None
-
-
-@pytest.mark.parametrize("strategy", list(LcStrategy))
-def test_repeated_extraction_matches_normalize(rng, strategy):
-    gb = gb_new(GRLEX, 3, strategy)
-    shadow = gb_new(GRLEX, 3, strategy)
-    for _ in range(30):
-        p = random_poly(rng, GRLEX, rng.randrange(1, 4), nvars=2)
-        gb.add(p)
-        shadow.add(p)
-    expect = list(shadow.normalize().terms)
-    got = []
-    while True:
-        t = gb.extract_leading()
-        if t is None:
-            break
-        got.append(t)
-        assert gb.check_invariants()
-    assert got == expect
-
-
 def test_normalize_examples(rng):
     gb = gb_new(GRLEX)
     assert gb.normalize().is_zero()
@@ -126,19 +83,6 @@ def test_normalize_examples(rng):
     norm = gb2.normalize()
     assert norm == acc
     assert is_well_formed(norm)
-
-
-@pytest.mark.parametrize("strategy", list(LcStrategy))
-def test_strategies_agree(rng, strategy):
-    for _ in range(30):
-        a = gb_new(GRLEX, 4, LcStrategy.SCAN_ALL)
-        b = gb_new(GRLEX, 4, LcStrategy.LARGEST_BUCKET)
-        for _ in range(rng.randrange(1, 12)):
-            p = random_poly(rng, GRLEX, rng.randrange(0, 5), nvars=2, max_exp=3)
-            a.add(p)
-            b.add(p)
-        assert a.leading_term() == b.leading_term()
-        assert a.normalize() == b.normalize()
 
 
 def test_amortized_win_over_left_fold(rng):
@@ -170,55 +114,24 @@ def test_amortized_win_over_left_fold(rng):
 
 
 @pytest.mark.parametrize(
-    "strategy, c, sizes, comparisons, coeff_adds",
+    "c, sizes, comparisons, coeff_adds",
     [
-        (LcStrategy.SCAN_ALL, 2, [2, 4, 6, 0, 0, 0, 77, 150], 2292, 126),
-        (LcStrategy.SCAN_ALL, 4, [2, 6, 45, 161], 2415, 145),
-        (LcStrategy.LARGEST_BUCKET, 2, [2, 0, 6, 0, 27, 0, 0, 165], 2578, 157),
-        (LcStrategy.LARGEST_BUCKET, 4, [2, 6, 21, 167], 2529, 159),
+        (2, [2, 4, 6, 0, 0, 0, 78, 155], 2279, 128),
+        (4, [2, 6, 46, 166], 2416, 147),
     ],
 )
-def test_cascade_layout_and_counts_pinned(strategy, c, sizes, comparisons, coeff_adds):
-    # Bucket sizes and counters after seeded adds with extractions between
-    # them; recorded before the two overflow cascades became one method.
+def test_cascade_layout_and_counts_pinned(c, sizes, comparisons, coeff_adds):
+    # Bucket sizes and counters after 60 seeded adds, recorded at 84bd6ed.
     import random
 
     rng = random.Random(11)
-    gb = gb_new(GRLEX, c, strategy)
+    gb = gb_new(GRLEX, c)
     with count_ops() as ops:
-        for k in range(60):
+        for _ in range(60):
             gb.add(random_poly(rng, GRLEX, rng.randrange(1, 12), nvars=2, max_exp=15))
-            if k % 7 == 6:
-                gb.extract_leading()
     assert [len(b.terms) for b in gb.buckets[1:]] == sizes
     assert (ops.comparisons, ops.coeff_adds) == (comparisons, coeff_adds)
     assert gb.check_invariants()
-
-
-from polycert import Geobucket, OpCounters, Polynomial  # noqa: E402
-from polycert.errors import FormatError  # noqa: E402
-
-from conftest import ORDERS  # noqa: E402
-
-
-def test_lc_strategy_is_taken_by_value():
-    import random
-
-    runs = {}
-    for strategy in (LcStrategy.LARGEST_BUCKET, "largest_bucket"):
-        rng = random.Random(11)
-        gb = gb_new(GRLEX, 2, strategy)
-        assert gb.lc_strategy is LcStrategy.LARGEST_BUCKET
-        with count_ops() as ops:
-            for k in range(30):
-                gb.add(random_poly(rng, GRLEX, rng.randrange(1, 12), nvars=2, max_exp=15))
-                if k % 7 == 6:
-                    gb.extract_leading()
-        runs[strategy] = [len(b.terms) for b in gb.buckets], ops
-    assert runs[LcStrategy.LARGEST_BUCKET] == runs["largest_bucket"]
-    assert Geobucket(GRLEX, lc_strategy="scan_all").lc_strategy is LcStrategy.SCAN_ALL
-    with pytest.raises(ValueError):
-        gb_new(GRLEX, 4, "largest")
 
 
 @pytest.mark.parametrize("order", ORDERS)
@@ -231,3 +144,25 @@ def test_add_rejects_a_polynomial_not_strictly_decreasing(order):
             gb.add(bad)
         assert ops == OpCounters()
         assert gb.normalize() == good
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_a_rejected_add_leaves_the_buckets_and_counters_as_they_were(order):
+    # each p has 5 > c terms, so its target bucket 3 lies past the last one
+    other = next(o for o in ORDERS if o is not order)
+    exps = [(e, 1) for e in range(4, -1, -1)]
+    good = poly_from_terms(order, [(ev_make(e), 1) for e in exps])
+    cases = [
+        (OrderMismatchError, poly_from_terms(other, [(ev_make(e), 1) for e in exps])),
+        (FormatError, Polynomial(order, good.terms[::-1])),
+        (DomainError, Polynomial(order, good.terms[:-1] + (Term(ev_make((0, 1)), 0.5),))),
+    ]
+    for error, bad in cases:
+        gb = gb_new(order, 2)
+        gb.add(poly_from_terms(order, [(ev_make((1, 0)), 1)]))
+        before = list(gb.buckets)
+        with count_ops() as ops, pytest.raises(error):
+            gb.add(bad)
+        assert ops == OpCounters()
+        assert len(gb.buckets) == len(before) == 2
+        assert gb.buckets == before

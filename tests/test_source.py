@@ -34,6 +34,8 @@ def _imported_modules(path):
 
 @pytest.mark.parametrize("module, banned", [
     ("monomial", "counters"), ("textio", "geobucket"), ("poly", "monomial.ev_compare"),
+    ("geobucket", "monomial.ev_compare"), ("heapmul", "monomial.ev_compare"),
+    ("verifier", "monomial.ev_compare"),
 ])
 def test_module_imports_nothing_from(module, banned):
     banned = f"polycert.{banned}"
