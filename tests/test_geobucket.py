@@ -146,23 +146,39 @@ def test_add_rejects_a_polynomial_not_strictly_decreasing(order):
         assert gb.normalize() == good
 
 
+@pytest.mark.parametrize("fault", ["order", "descent", "coefficient"])
 @pytest.mark.parametrize("order", ORDERS)
-def test_a_rejected_add_leaves_the_buckets_and_counters_as_they_were(order):
+def test_a_rejected_add_leaves_the_buckets_and_counters_as_they_were(order, fault):
     # each p has 5 > c terms, so its target bucket 3 lies past the last one
     other = next(o for o in ORDERS if o is not order)
     exps = [(e, 1) for e in range(4, -1, -1)]
     good = poly_from_terms(order, [(ev_make(e), 1) for e in exps])
-    cases = [
-        (OrderMismatchError, poly_from_terms(other, [(ev_make(e), 1) for e in exps])),
-        (FormatError, Polynomial(order, good.terms[::-1])),
-        (DomainError, Polynomial(order, good.terms[:-1] + (Term(ev_make((0, 1)), 0.5),))),
-    ]
-    for error, bad in cases:
-        gb = gb_new(order, 2)
-        gb.add(poly_from_terms(order, [(ev_make((1, 0)), 1)]))
-        before = list(gb.buckets)
-        with count_ops() as ops, pytest.raises(error):
-            gb.add(bad)
-        assert ops == OpCounters()
-        assert len(gb.buckets) == len(before) == 2
-        assert gb.buckets == before
+    error, bad = {
+        "order": (OrderMismatchError, poly_from_terms(other, [(ev_make(e), 1) for e in exps])),
+        "descent": (FormatError, Polynomial(order, good.terms[::-1])),
+        "coefficient": (
+            DomainError,
+            Polynomial(order, good.terms[:-1] + (Term(ev_make((0, 1)), 0.5),)),
+        ),
+    }[fault]
+    gb = gb_new(order, 2)
+    gb.add(poly_from_terms(order, [(ev_make((1, 0)), 1)]))
+    before = list(gb.buckets)
+    with count_ops() as ops, pytest.raises(error):
+        gb.add(bad)
+    assert ops == OpCounters()
+    assert len(gb.buckets) == len(before) == 2
+    assert gb.buckets == before
+
+
+@pytest.mark.parametrize("c", [2, 4])
+def test_terms_that_cancel_across_buckets_normalize_to_zero(c):
+    # p fills a higher bucket, -p arrives in pieces small enough for bucket 1
+    p = up([(e, e + 1) for e in range(9, -1, -1)])
+    gb = gb_new(GRLEX, c)
+    gb.add(p)
+    assert len(gb.buckets) > 2 and gb.buckets[1].is_zero()
+    for t in p.terms:
+        gb.add(poly_from_terms(GRLEX, [(t.degrees, -t.coeff)]))
+    assert gb.check_invariants()
+    assert gb.normalize().is_zero()
