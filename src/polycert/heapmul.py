@@ -7,39 +7,30 @@ it yields the terms of sum_k a_k * b_k in scan order.  It is two steps:
 term's packed key from the package's one input check
 (:func:`~polycert.poly.checked_keys`: one order, one dimension, strict
 descent, int or Fraction coefficients), and :func:`merge_streams` runs the
-loop on them and checks nothing.  Each term of a_k seeds one stream
-a_k[i] * b_k whose cursor walks b_k's term list, so "the rest of b_k" costs
-nothing to represent.  A stream entry is keyed by the sum of the packed
-keys of its next product's factors, so no monomial is built before it is
-yielded.  The heap holds each distinct key once, as a plain
-int, and a dict chains to it every entry at that key.  A step takes the
-least key's whole chain and sums its products, so each yielded term is final
-and the output is built by O(1) appends; each entry's successor joins the
-chain at its key, and a new key takes the spent key's heap slot
-(heapreplace) or is pushed.  Every stream entry is extracted exactly once.
-Outside a counter scope C heapq sifts the keys; inside one,
-:class:`CountedHeap`, a line-for-line port of heapq's push, pop and replace,
-makes the same comparisons and counts every one in a local int.  That count and every other one (extractions, products, sums) are
-tallied once at the end, and right before each yielded term only while a
-scope was open at the last resume; with none open, the counts since then
-belong to no scope and are dropped, so an unscoped merge makes one
-:func:`tally` call.  Each yielded term is a finished :class:`Term`, built
-with its monomial without the frozen dataclass ``__init__``, and
-:func:`merge_products` unpacks it into a (monomial, coeff) pair.  heapq pops
-the least key: max-first scans negate the keys, min-first scans negate
-nothing and read every b_k from its trailing end.
+loop on them and checks nothing.  Each term a_k[i] seeds one stream
+a_k[i] * b_k, walked by a cursor that holds its position in b_k, a_k[i]'s
+key, coefficient and monomial, and b_k's keys, coefficients and terms, so a
+step looks nothing up but its next key.  A cursor is keyed by the sum of the
+packed keys of its next product's factors, so no monomial is built before
+its term is yielded.  The heap holds each distinct key once, as a plain int,
+and a dict chains to it every cursor at that key.  A step takes the least
+key's whole chain and sums its products, so each yielded term is final; each
+cursor steps in place and joins the chain at its next key, and a new key
+takes the spent key's heap slot (heapreplace) or is pushed.  Outside a
+counter scope C heapq sifts the keys; inside one, :class:`CountedHeap` makes
+C heapq's comparisons and counts each one.  That count and the others
+(extractions, products, sums) are tallied at the end, and before each
+yielded term only while a scope was open at the last resume, so an unscoped
+merge makes one :func:`tally` call.  heapq pops the least key, so max-first
+scans pack negated keys and min-first scans read each b_k backwards.
 
-Rationals are merged on integers, as a rational polynomial is stored over
-one denominator in FLINT's ``fmpq_poly``.  When any coefficient is a
-Fraction, the set-up rewrites every coefficient as an integer numerator
-over one denominator D for the whole merge (:func:`_over_one_den`), so the
-loop multiplies and adds plain ints, with no gcd, and makes one
-``Fraction(S, D)`` per yielded term: a valid certificate makes no gcd in the
-merge at all.  D is taken only while it is at most twice as long, in bits,
-as the shortest denominator it covers; past that (pairwise-coprime
-denominators) the Fractions are merged as given.  An all-integer merge
-keeps its terms as they are.  Either way the counts are the same and the
-results compare equal (a yielded sum of int products alone, in a merge
+Rationals are merged on integers, as FLINT's ``fmpq_poly`` stores a rational
+polynomial over one denominator.  When any coefficient is a Fraction, the
+set-up rewrites them as integer numerators over one denominator D
+(:func:`_over_one_den`), so the loop adds int products, with no gcd, and
+makes one ``Fraction(S, D)`` per yielded term; past the bound on D's length
+the Fractions are merged as given.  Either way the counts are the same and
+the results compare equal (a yielded sum of int products alone, in a merge
 with a Fraction, is a Fraction over 1).
 
 Every product in the package is a thin consumer of the engine:
@@ -56,7 +47,7 @@ from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush, heapreplace
 from math import inf, lcm
-from operator import add, neg
+from operator import add
 from typing import Iterable, Iterator
 
 from . import poly
@@ -69,27 +60,10 @@ from .poly import terms_unchecked
 _UNCOUNTED = heappop, heappush, heapreplace  # C heapq
 
 
-def _sift_to_root(heap: list, pos: int) -> int:
-    """heapq._siftdown(heap, 0, pos); returns its comparisons."""
-    item, n = heap[pos], 0
-    while pos:
-        up = (pos - 1) >> 1
-        parent = heap[up]
-        n += 1
-        if not item < parent:
-            break
-        heap[pos] = parent
-        pos = up
-    heap[pos] = item
-    return n
-
-
 class CountedHeap:
-    """CPython's heappush / heappop / heapreplace ported line for line.
-
-    It makes C heapq's ``<`` comparisons, leaves its heap, and counts every
-    comparison: as many as counting keys would tick under C heapq.
-    """
+    """C heapq's heappush, heappop and heapreplace, counted: each makes C
+    heapq's ``<`` comparisons in its order, leaves its heap, returns its
+    object and counts every comparison, as counting keys tick under C heapq."""
 
     __slots__ = ("comparisons",)
 
@@ -98,7 +72,17 @@ class CountedHeap:
 
     def push(self, heap: list, item: int) -> None:
         heap.append(item)
-        self.comparisons += _sift_to_root(heap, len(heap) - 1)
+        pos, n = len(heap) - 1, 0
+        while pos:  # heapq._siftdown to the root
+            up = (pos - 1) >> 1
+            parent = heap[up]
+            n += 1
+            if not item < parent:
+                break
+            heap[pos] = parent
+            pos = up
+        heap[pos] = item
+        self.comparisons += n
 
     def pop(self, heap: list) -> int:
         last = heap.pop()
@@ -107,14 +91,24 @@ class CountedHeap:
     def replace(self, heap: list, item: int) -> int:
         top, end, pos, child, n = heap[0], len(heap), 0, 1, 0
         while child < end:  # heapq._siftup: move the smaller child up to a leaf
+            least = heap[child]
             if child + 1 < end:
+                right = heap[child + 1]
                 n += 1
-                if not heap[child] < heap[child + 1]:
-                    child += 1
-            heap[pos] = heap[child]
+                if not least < right:
+                    child, least = child + 1, right
+            heap[pos] = least
             pos, child = child, 2 * child + 1
+        while pos:  # then heapq._siftdown to the root
+            up = (pos - 1) >> 1
+            parent = heap[up]
+            n += 1
+            if not item < parent:
+                break
+            heap[pos] = parent
+            pos = up
         heap[pos] = item
-        self.comparisons += n + _sift_to_root(heap, pos)
+        self.comparisons += n
         return top
 
 
@@ -129,11 +123,9 @@ def merge_products(
     first.  Each yielded term sums every stream entry at its monomial, and
     nothing past it is extracted until the next term is requested, so a
     consumer that stops early has extracted exactly the entries at or before
-    its last term.  Counts are tallied once at the end and, while a scope
-    was open at the last resume, right before each yield, so they land in
-    the scopes open while their work was done.  The inputs are checked and
-    their keys packed at the call, and the loop starts at the first request.
-    """
+    its last term, and its counts land in the scopes open while their work
+    was done.  The inputs are checked and their keys packed at the call, and
+    the loop starts at the first request."""
     terms = merge_streams(*merge_sources(pairs, order, descending))
     return ((t.degrees, t.coeff) for t in terms)
 
@@ -149,20 +141,17 @@ def merge_sources(
     or None when the coefficients are as given.
 
     Every polynomial of every pair, empty or not, passes
-    :func:`~polycert.poly.checked_keys`.  A key is the packed int, negated
-    when `descending`, so it rises along b_k's scan-order list, and along
-    a_k's max-first; min-first, a_k's keys fall.  Counts nothing.
-    """
+    :func:`~polycert.poly.checked_keys`, which packs each key negated when
+    `descending`, so it rises along b_k's scan-order list, and along a_k's
+    max-first; min-first, a_k's keys fall.  Counts nothing."""
     pairs = list(pairs)
-    keys = iter(poly.checked_keys(order, [p for pair in pairs for p in pair], 2))
-    sources = [[a.terms, b.terms, list(map(neg, ka)), list(map(neg, kb))] if descending
+    polys = [p for pair in pairs for p in pair]
+    keys, fractions = poly.checked_keys(order, polys, 2, -1 if descending else 1)
+    sources = [[a.terms, b.terms, ka, kb] if descending
                else [a.terms, b.terms[::-1], ka, kb[::-1]]
-               for (a, b), ka, kb in zip(pairs, keys, keys) if a.terms and b.terms]
+               for (a, b), ka, kb in zip(pairs, keys[::2], keys[1::2]) if a.terms and b.terms]
     # a merge with a Fraction runs on integer numerators over one denominator
-    types = {type(t.coeff) for pair in pairs for p in pair for t in p.terms}
-    if not any(issubclass(t, Fraction) for t in types):
-        return sources, None
-    return sources, _over_one_den(sources)
+    return sources, _over_one_den(sources) if fractions else None
 
 
 def _over_one_den(sources: list[list]) -> int | None:
@@ -213,15 +202,17 @@ def merge_streams(sources: list[list], den: int | None = None) -> Iterator[Term]
     scopes = _scopes.get
     scoped = scopes()  # the scopes open at the last resume
     pop, push, replace = counted if scoped else _UNCOUNTED
-    heap, chains = [], {}  # each distinct key once; key -> its (k, i, j) entries
-    for k, (_, _, ka, kb) in enumerate(sources):
-        for i, ki in enumerate(ka):
+    heap, chains = [], {}  # each distinct key once; key -> the cursors at it
+    for a_terms, bt, ka, kb in sources:
+        cb = [t.coeff for t in bt]
+        for a, ki in zip(a_terms, ka):
             chain = chains.setdefault(ki + kb[0], [])
             if not chain:
                 push(heap, ki + kb[0])
-            chain.append((k, i, 0))
-    # Each entry taken is one product and adds at most one successor, so the
-    # live entries never outnumber the seeded ones: the peak, tallied first.
+            # [j, a[i]'s key and coeff, b's keys, coeffs and length, a[i]'s monomial, b's terms]
+            chain.append([0, ki, a.coeff, kb, cb, len(kb), a.degrees, bt])
+    # Each entry taken is one product and steps its cursor at most once, so
+    # the live cursors never outnumber the seeded ones: the peak, tallied first.
     peak, pops, adds = sum(len(s[0]) for s in sources), 0, 0
 
     while heap:
@@ -229,24 +220,27 @@ def merge_streams(sources: list[list], den: int | None = None) -> Iterator[Term]
         pops += len(chain)
         adds += len(chain) - 1
         coeff, replaced = 0, False
-        for k, i, j in chain:
-            a_terms, bt, ka, kb = sources[k]
-            coeff += a_terms[i].coeff * bt[j].coeff
-            if j + 1 < len(bt):
-                key = ka[i] + kb[j + 1]
-                if key in chains:
-                    chains[key].append((k, i, j + 1))
+        for cursor in chain:
+            j, ki, ca, kb, cb, n, _, _ = cursor
+            coeff += ca * cb[j]
+            j += 1
+            if j < n:  # the stream goes on: step the cursor in place
+                cursor[0] = j
+                key = ki + kb[j]
+                tied = chains.get(key)
+                if tied is not None:
+                    tied.append(cursor)
                 else:  # a new key: the first takes the spent top's slot
-                    chains[key] = [(k, i, j + 1)]
+                    chains[key] = [cursor]
                     (push if replaced else replace)(heap, key)
                     replaced = True
         if not replaced:
             pop(heap)
-        if coeff != 0:  # the last entry taken names the chain's monomial
+        if coeff != 0:  # the last cursor taken, at j - 1, names the chain's monomial
             if scoped:  # else the counts since the last resume belong to no scope
                 tally(adds, pops, pops, peak, port.comparisons)
             peak = pops = adds = port.comparisons = 0
-            da, db = a_terms[i].degrees, bt[j].degrees  # packed: equal lengths
+            da, db = cursor[6], cursor[7][j - 1].degrees  # packed: equal lengths
             ev, term = _new(ExponentVector), _new(Term)  # no frozen __init__
             _set_exponents(ev, tuple(map(add, da.exponents, db.exponents)))
             _set_total(ev, da.total + db.total)

@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat, starmap
-from operator import gt
+from operator import gt, lt
 from typing import Iterable, Union
 
 from .counters import key_factory, tally
@@ -123,36 +123,37 @@ def polys_from_runs(
 
 
 def checked_keys(
-    order: MonomialOrder, polys: list[Polynomial], summands: int = 1
-) -> list[list[int]]:
-    """The packed keys of each of `polys`' terms, from one :func:`key_packer`
-    for sums of `summands` keys, if each polynomial is in `order` (else
-    :class:`OrderMismatchError`), all are of one dimension (else
-    :class:`DimensionError`), each is strictly decreasing (else
-    :class:`FormatError`) and each coefficient is an int or a Fraction
-    (:func:`check_coefficients`).  Zero coefficients pass; counts nothing."""
+    order: MonomialOrder, polys: list[Polynomial], summands: int = 1, sign: int = 1
+) -> tuple[list[list[int]], bool]:
+    """Each of `polys`' term keys, packed by one :func:`key_packer` for sums
+    of `summands` keys and times `sign`, and whether any coefficient is a
+    Fraction.  Raises :class:`OrderMismatchError` unless each is in `order`,
+    :class:`DimensionError` unless all have one dimension, :class:`FormatError`
+    unless each strictly decreases, and :func:`check_coefficients`' error.
+    Zero coefficients pass; counts nothing."""
     for p in polys:
         if p.order is not order:
             raise OrderMismatchError(f"{p.order} vs {order}")
-    pack = key_packer(order, [t.degrees for p in polys for t in p.terms], summands)
+    pack = key_packer(order, [t.degrees for p in polys for t in p.terms], summands, sign)
     keys = [[pack(t.degrees) for t in p.terms] for p in polys]
-    if not all(all(map(gt, k, k[1:])) for k in keys):
+    if not all(all(map(gt if sign > 0 else lt, k, k[1:])) for k in keys):
         raise FormatError("terms not strictly decreasing")
-    check_coefficients([t.coeff for p in polys for t in p.terms])
-    return keys
+    return keys, check_coefficients([t.coeff for p in polys for t in p.terms])
 
 
-def check_coefficients(coeffs: list) -> None:
-    """Raise :class:`DomainError` for the first of `coeffs` that is neither
-    an int nor a Fraction."""
-    if not all(issubclass(t, (int, Fraction)) for t in set(map(type, coeffs))):
+def check_coefficients(coeffs: list) -> bool:
+    """Whether any of `coeffs` is a Fraction; :class:`DomainError` for the
+    first that is neither an int nor a Fraction."""
+    types = set(map(type, coeffs))
+    if not all(issubclass(t, (int, Fraction)) for t in types):
         bad = next(c for c in coeffs if not isinstance(c, (int, Fraction)))
         raise DomainError(f"coefficient {bad!r} is neither an int nor a Fraction")
+    return any(issubclass(t, Fraction) for t in types)
 
 
 def add(p: Polynomial, q: Polynomial) -> Polynomial:
     """Merge-add two sorted polynomials on their checked keys."""
-    kp, kq = checked_keys(p.order, [p, q])
+    (kp, kq), _ = checked_keys(p.order, [p, q])
     pt, qt = p.terms, q.terms
     np_, nq = len(pt), len(qt)
     i = j = adds = 0

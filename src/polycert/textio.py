@@ -26,20 +26,20 @@ label.
 :func:`parse_poly` reads text that is wholly canonical, or else the general
 scan reads it all.  Canonical text is a run of terms as :func:`print_poly`
 writes them, each one match of a pattern compiled once per variable set;
-one ``findall`` takes them, and the terms are built a column at a time in C
-(exponents and coefficients looked up in bounded tables, packed keys added
-up per variable).  :func:`~polycert.poly.polys_from_runs` takes text in
-order without zero terms as it stands and sends other canonical text
-through :func:`~polycert.poly.poly_from_terms`.  :func:`parse_certificate`
-reads all of a certificate's sections in one such batch: its canonical
-sections are built together, each other section is read by the general
-scan on its own, in section order.  The general scan (term head, factor,
-'*' patterns) accepts the whole grammar and is the only source of
-:class:`ParseError`, each with a position.  Coefficients are exact at any
-length: digit strings and integers beyond the interpreter's int-string
-digit limit are converted in pieces, without changing the limit.  Each
-distinct denominator is converted once per call, read or printed: a long
-number's conversion is quadratic in its length.
+``findall`` takes them a slice at a time, and the terms are built a column
+at a time in C (exponents and coefficients looked up in bounded tables,
+packed keys added up per variable).  :func:`~polycert.poly.polys_from_runs`
+takes text in order without zero terms as it stands and sends other
+canonical text through :func:`~polycert.poly.poly_from_terms`.
+:func:`parse_certificate` reads all of a certificate's sections in one such
+batch: its canonical sections are built together, each other section is read
+by the general scan on its own, in section order.  The general scan (term
+head, factor, '*' patterns) accepts the whole grammar and is the only source
+of :class:`ParseError`, each with a position.  Coefficients are exact at any
+length: digit strings and integers beyond the interpreter's int-string digit
+limit are converted in pieces, without changing the limit.  Each distinct
+denominator is converted once per call, read or printed: a long number's
+conversion is quadratic in its length.
 
 :func:`print_poly` looks each exponent's factor text up in a per-variable
 table (:func:`_factor_tables`, cached per variable set and bounded like the
@@ -135,6 +135,8 @@ def _term_pattern(names: tuple[str, ...]) -> re.Pattern:
 
 _TABLE_SIZE = 4096  # most entries kept by a factor table
 _ROWS = 2048  # term rows read at a time, so few term strings are alive at once
+_SLICE = 8192  # least characters one findall reads of a longer text
+_CUT = re.compile(r" [+-] ")  # a slice ends before the sign of a separator
 
 
 class _Exponents(dict):
@@ -182,17 +184,18 @@ def _parse_texts(
     """The polynomial of each of `texts` (at least one), read in order, so
     that the first fault raised is the first faulty text's.
 
-    One ``findall`` per text; its matches never overlap and never match
-    empty, so they take the whole text exactly when their lengths add up to
-    its length, and then they are the matches a left-to-right scan makes.
-    Such matches include one at 0, where ``findall`` tries first, so text
-    with no term at 0 skips ``findall``.  The terms of all wholly canonical
-    texts are built together, one column at a time in C, from term rows
-    moved into columns (:func:`_read_rows`) a few thousand at a time, so
-    that the term strings die early; :func:`~polycert.poly.polys_from_runs`
-    makes each text's polynomial.  Canonical text never raises.  Any other
-    text is read by the general scan alone and goes through
-    :func:`~polycert.poly.poly_from_terms`."""
+    ``findall`` reads a text a slice at a time, each cut before the sign of
+    a `` + `` or `` - `` past ``_SLICE`` characters.  Its matches never
+    overlap nor match empty, so they take a slice whole exactly when their
+    lengths add up to its length, and a text whose slices are all taken
+    whole is canonical: they are the matches a left-to-right scan makes.
+    A slice with no match at its start, where ``findall`` tries first,
+    skips it.  The terms of canonical texts are built together, a column at
+    a time in C, from rows moved into columns (:func:`_read_rows`) a few
+    thousand at a time, so the term strings die early;
+    :func:`~polycert.poly.polys_from_runs` makes each polynomial.  Any other
+    text is read by the general scan alone, through
+    :func:`~polycert.poly.poly_from_terms`; canonical text never raises."""
     pattern, whole = _term_pattern(varset.names), itemgetter(0)
     exps_by_var: list[list[int]] = [[] for _ in varset.names]
     coeffs: list[Coefficient] = []
@@ -201,18 +204,28 @@ def _parse_texts(
     bounds = [0]
     polys: list[Polynomial | None] = []  # None: canonical, built below
     for text in texts:
-        found = pattern.match(text) and pattern.findall(text)
-        if found and sum(map(len, map(whole, found))) == len(text):
+        start = 0
+        while start < len(text):  # one findall per slice, cut at a sign
+            cut = _CUT.search(text, start + _SLICE)
+            piece = text[start : cut.start() + 1 if cut else None]  # or text itself
+            found = pattern.match(piece) and pattern.findall(piece)
+            if not found or sum(map(len, map(whole, found))) != len(piece):
+                break
             rows += found
-            bounds.append(bounds[-1] + len(found))
-            polys.append(None)
             if len(rows) >= _ROWS:
                 _read_rows(rows, exps_by_var, coeffs, denominators)
-        elif text.strip():
-            polys.append(poly_from_terms(order, _scan(text, varset)))
-        else:
+            start += len(piece)
+        if text and start == len(text):
+            bounds.append(len(coeffs) + len(rows))
+            polys.append(None)
+            continue
+        if start:  # not canonical after all: drop the terms of its first slices
+            _read_rows(rows, exps_by_var, coeffs, denominators)
+            for column in (coeffs, *exps_by_var):
+                del column[bounds[-1] :]
+        if not text.strip():
             raise ParseError("empty polynomial text", 0)
-    del found
+        polys.append(poly_from_terms(order, _scan(text, varset)))
     _read_rows(rows, exps_by_var, coeffs, denominators)
     exps = list(zip(*exps_by_var))
     totals = list(map(sum, exps))
