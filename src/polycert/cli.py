@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 import traceback
+from dataclasses import asdict
 
 from . import poly, textio
 from .counters import count_ops
@@ -121,22 +122,11 @@ def _witness_line(witness, varset) -> str:
 
 
 def _report(command: str, n_inputs: int, counters, peak: int, fmt: str) -> str:
+    """One record with every counter, as ``name: value`` lines or csv."""
+    record = {"command": command, "n_inputs": n_inputs, **asdict(counters), "peak_terms": peak}
     if fmt == "csv":
-        return (
-            "command,n_inputs,comparisons,coeff_muls,heap_extractions,peak_terms\n"
-            f"{command},{n_inputs},{counters.comparisons},{counters.coeff_muls},"
-            f"{counters.heap_extractions},{peak}\n"
-        )
-    return (
-        f"command: {command}\n"
-        f"n_inputs: {n_inputs}\n"
-        f"comparisons: {counters.comparisons}\n"
-        f"coeff_adds: {counters.coeff_adds}\n"
-        f"coeff_muls: {counters.coeff_muls}\n"
-        f"heap_extractions: {counters.heap_extractions}\n"
-        f"heap_peak: {counters.heap_peak}\n"
-        f"peak_terms: {peak}\n"
-    )
+        return f"{','.join(record)}\n{','.join(map(str, record.values()))}\n"
+    return "".join(f"{name}: {value}\n" for name, value in record.items())
 
 
 def main(argv=None) -> int:

@@ -178,17 +178,17 @@ def _over_one_den(sources: list[list]) -> int | None:
     den = lcm(*{da * db for da, db in side_dens})
     if den.bit_length() > limit:
         return None
-    for s, (da, db) in zip(sources, side_dens):
-        s[0] = _numerators(s[0], da, den // (da * db))
-        s[1] = _numerators(s[1], db, 1)
+    for s, (dsa, dsb), (da, db) in zip(sources, sides, side_dens):
+        s[0] = _numerators(s[0], dsa, da, den // (da * db))
+        s[1] = _numerators(s[1], dsb, db, 1)
     return den
 
 
-def _numerators(terms: tuple[Term, ...], side_den: int, scale: int) -> list[Term]:
+def _numerators(terms: tuple[Term, ...], dens: set[int], side_den: int, scale: int) -> list[Term]:
     """`terms` with each coefficient c replaced by the int c * side_den *
-    scale, where side_den is a multiple of every denominator of `terms`;
-    each distinct denominator's factor is worked out once."""
-    factor = {d: side_den // d * scale for d in {t.coeff.denominator for t in terms}}
+    scale, where `dens` holds every denominator of `terms` and side_den is a
+    multiple of each; each distinct denominator's factor is worked out once."""
+    factor = {d: side_den // d * scale for d in dens}
     nums = [t.coeff.numerator * factor[t.coeff.denominator] for t in terms]
     return terms_unchecked([t.degrees for t in terms], nums)
 

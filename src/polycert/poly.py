@@ -89,10 +89,7 @@ def poly_from_terms(
         combined[ev.exponents] = (ev, c if old is None else old[1] + c)
     entries = [(ev, c) for ev, c in combined.values() if c != 0]
     pack, wrap = key_packer(order, [ev for ev, _ in entries]), key_factory()
-    if wrap is int:  # no scope open: sort by the packed int itself
-        entries.sort(key=lambda e: pack(e[0]), reverse=True)
-    else:
-        entries.sort(key=lambda e: wrap(pack(e[0])), reverse=True)
+    entries.sort(key=lambda e: wrap(pack(e[0])), reverse=True)
     return Polynomial(order, tuple(starmap(term_unchecked, entries)))
 
 
@@ -184,6 +181,7 @@ def negate(p: Polynomial) -> Polynomial:
 
 
 def scale(c: Coefficient, p: Polynomial) -> Polynomial:
+    check_coefficients([c])
     if c == 0:
         return zero(p.order)
     tally(coeff_muls=len(p.terms))

@@ -70,21 +70,12 @@ def is_well_formed(r: RecursivePoly, varset: VariableSet) -> bool:
     def walk(node: RecursivePoly, min_index: int) -> bool:
         if isinstance(node, Const):
             return True
-        if node.var is None:
-            # anonymous form: outermost only, constant coefficients
-            if min_index != -1:
-                return False
-            return (
-                _pairs_sorted(node.pairs)
-                and all(isinstance(c, Const) for _, c in node.pairs)
-                and all(not _is_zero(c) for _, c in node.pairs)
-            )
-        idx = varset.index(node.var)
-        if idx <= min_index:
+        # the anonymous variable: after every named one, outermost only
+        anonymous = node.var is None
+        idx = len(varset) if anonymous else varset.index(node.var)
+        if idx <= min_index or anonymous and min_index != -1:
             return False
-        if not _pairs_sorted(node.pairs):
-            return False
-        return all(
+        return _pairs_sorted(node.pairs) and all(
             not _is_zero(c) and walk(c, idx) for _, c in node.pairs
         )
 

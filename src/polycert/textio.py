@@ -27,8 +27,8 @@ label.
 scan reads it all.  Canonical text is a run of terms as :func:`print_poly`
 writes them, each one match of a pattern compiled once per variable set;
 ``findall`` takes them a slice at a time, and the terms are built a column
-at a time in C (exponents and coefficients looked up in bounded tables,
-packed keys added up per variable).  :func:`~polycert.poly.polys_from_runs`
+at a time in C (exponents and coefficients looked up in a :class:`_Table`
+each, packed keys added up per variable).  :func:`~polycert.poly.polys_from_runs`
 takes text in order without zero terms as it stands and sends other
 canonical text through :func:`~polycert.poly.poly_from_terms`.
 :func:`parse_certificate` reads all of a certificate's sections in one such
@@ -42,8 +42,8 @@ denominator is converted once per call, read or printed: a long number's
 conversion is quadratic in its length.
 
 :func:`print_poly` looks each exponent's factor text up in a per-variable
-table (:func:`_factor_tables`, cached per variable set and bounded like the
-parser's exponent table) and joins a term's factors in C.
+:class:`_Table` (:func:`_factor_tables`, cached per variable set) and joins a
+term's factors in C.
 
 Reading term streams: :func:`read_sorted` rejects a zero coefficient and
 hands the stream to :func:`~polycert.poly.poly_from_terms`, whose sort
@@ -133,41 +133,43 @@ def _term_pattern(names: tuple[str, ...]) -> re.Pattern:
     )
 
 
-_TABLE_SIZE = 4096  # most entries kept by a factor table
+_TABLE_SIZE = 4096  # most entries kept by a conversion table
 _ROWS = 2048  # term rows read at a time, so few term strings are alive at once
 _SLICE = 8192  # least characters one findall reads of a longer text
 _CUT = re.compile(r" [+-] ")  # a slice ends before the sign of a separator
 
 
-class _Exponents(dict):
-    """Factor text -> exponent: "" -> 0, "x" -> 1, "x^12" -> 12.  A miss
-    is converted and, while the table is small, kept."""
+class _Table(dict):
+    """Text <-> number, bounded: a miss is converted by `convert` and kept
+    while the table holds fewer than ``_TABLE_SIZE`` entries and its text
+    (the key, or else the value) is under 64 characters; a hit stays in C."""
 
-    def __missing__(self, factor: str) -> int:
-        caret = factor.find("^")
-        e = 1 if caret < 0 else _int(factor[caret + 1 :])
-        if len(self) < _TABLE_SIZE and len(factor) < 64:
-            self[factor] = e
-        return e
+    def __init__(self, convert: Callable, seed: dict) -> None:
+        super().__init__(seed)
+        self.convert = convert
 
-
-class _Coefficients(dict):
-    """Sign and numerator text -> integer coefficient: "" -> 1, "-" -> -1,
-    "+12" -> 12, "-12" -> -12.  A miss is converted and, while the table is
-    small, kept."""
-
-    def __missing__(self, head: str) -> int:
-        digits = head.lstrip("+-")
-        c = _int(digits) if digits else 1
-        if head[0] == "-":
-            c = -c
-        if len(self) < _TABLE_SIZE and len(head) < 64:
-            self[head] = c
-        return c
+    def __missing__(self, key):
+        value = self.convert(key)
+        if len(self) < _TABLE_SIZE and len(key if isinstance(key, str) else value) < 64:
+            self[key] = value
+        return value
 
 
-_EXPONENTS = _Exponents({"": 0})
-_COEFFICIENTS = _Coefficients({"": 1, "+": 1, "-": -1})
+def _exponent(factor: str) -> int:
+    """Factor text -> exponent: "x" -> 1, "x^12" -> 12."""
+    caret = factor.find("^")
+    return 1 if caret < 0 else _int(factor[caret + 1 :])
+
+
+def _coefficient(head: str) -> int:
+    """Sign and numerator text -> integer coefficient: "+12" -> 12, "-12" -> -12."""
+    digits = head.lstrip("+-")
+    c = _int(digits) if digits else 1
+    return -c if head[0] == "-" else c
+
+
+_EXPONENTS = _Table(_exponent, {"": 0})
+_COEFFICIENTS = _Table(_coefficient, {"": 1, "+": 1, "-": -1})
 
 
 def parse_poly(text: str, varset: VariableSet, order: MonomialOrder) -> Polynomial:
@@ -301,26 +303,11 @@ def _scan(text: str, varset: VariableSet) -> list[tuple[ExponentVector, Coeffici
     return pairs
 
 
-class _Factors(dict):
-    """Exponent -> the factor text that follows a coefficient or factor:
-    0 -> "", 1 -> "*x", 12 -> "*x^12".  A miss is printed and, while the
-    table is small, kept."""
-
-    def __init__(self, name: str) -> None:
-        super().__init__({0: "", 1: "*" + name})
-        self.name = name
-
-    def __missing__(self, e: int) -> str:
-        digits = _str(e)
-        factor = f"*{self.name}^{digits}"
-        if len(self) < _TABLE_SIZE and len(digits) < 64:
-            self[e] = factor
-        return factor
-
-
 @lru_cache(maxsize=64)
-def _factor_tables(names: tuple[str, ...]) -> tuple[_Factors, ...]:
-    return tuple(map(_Factors, names))
+def _factor_tables(names: tuple[str, ...]) -> tuple[_Table, ...]:
+    """Per variable, exponent -> the factor text that follows a coefficient
+    or factor: 0 -> "", 1 -> "*x", 12 -> "*x^12"."""
+    return tuple(_Table(lambda e, v=v: f"*{v}^{_str(e)}", {0: "", 1: "*" + v}) for v in names)
 
 
 def print_poly(p: Polynomial, varset: VariableSet) -> str:

@@ -136,9 +136,23 @@ def test_stats_csv(cert_files, capsys):
     good, _ = cert_files
     assert main(["stats", "--cert", str(good), "--format", "csv"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
-    assert lines[0] == "command,n_inputs,comparisons,coeff_muls,heap_extractions,peak_terms"
+    assert lines[0] == "command,n_inputs,comparisons,coeff_adds,coeff_muls,heap_extractions,heap_peak,peak_terms"
     fields = lines[1].split(",")
     assert fields[0] == "verify" and int(fields[4]) == 6
+
+
+@pytest.mark.parametrize("source", ["cert", "mul"])
+def test_stats_csv_and_text_report_the_same_record(cert_files, poly_files, capsys, source):
+    if source == "cert":
+        args = ["stats", "--cert", str(cert_files[0])]
+    else:
+        args = ["stats", "--mul", *map(str, poly_files), "--vars", "x,y"]
+    assert main(args) == 0
+    text = capsys.readouterr().out.splitlines()
+    assert main([*args, "--format", "csv"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    assert [f"{name}: {value}" for name, value in zip(header.split(","), row.split(","))] == text
+    assert len(text) == 8  # command, n_inputs, the five counters, peak_terms
 
 
 def test_stats_mul_text(poly_files, capsys):

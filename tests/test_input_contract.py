@@ -13,6 +13,7 @@ import pytest
 from polycert import (
     GbRoute,
     Geobucket,
+    MonomialOrder,
     OpCounters,
     Polynomial,
     add,
@@ -21,6 +22,7 @@ from polycert import (
     mul_heap_gb,
     mul_naive,
     poly_from_terms,
+    scale,
 )
 from polycert.errors import DomainError
 from polycert.poly import Term, is_well_formed
@@ -47,6 +49,15 @@ def test_a_coefficient_outside_the_domain_is_rejected_before_any_work(order, bad
     assert c == OpCounters()  # checked before any counted work
     assert gb.buckets == buckets
     assert not is_well_formed(p)
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.0, Decimal("1.5")], ids=["float", "zero", "Decimal"])
+def test_scale_rejects_a_coefficient_outside_the_domain(bad):
+    p = poly_from_terms(MonomialOrder.GRLEX, [(ev_make((e, 1)), e + 1) for e in (3, 1, 0)])
+    message = re.escape(f"coefficient {bad!r} is neither an int nor a Fraction")
+    with count_ops() as c, pytest.raises(DomainError, match=message):
+        scale(bad, p)
+    assert c == OpCounters()
 
 
 # Every OpCounters field (comparisons, coeff_adds, coeff_muls,

@@ -102,6 +102,19 @@ def test_anonymous_variable_outermost_only():
         to_distributed(anon, vs, GRLEX)
 
 
+def test_an_anonymous_node_takes_only_sorted_nonzero_constants():
+    vs = VariableSet(("x",))
+    assert is_well_formed(Node(None, ((2, Const(1)), (0, Const(3)))), vs)
+    for pairs in (
+        ((1, Node("x", ((1, Const(1)),))),),  # a named coefficient
+        ((1, Node(None, ((1, Const(1)),))),),  # an anonymous one
+        ((0, Const(1)), (1, Const(2))),  # unsorted
+        ((1, Const(1)), (1, Const(2))),  # a repeated exponent
+        ((1, Const(2)), (0, Const(0))),  # a zero
+    ):
+        assert not is_well_formed(Node(None, pairs), vs)
+
+
 @pytest.mark.parametrize("mode", list(RecursionMode))
 @pytest.mark.parametrize("order", ORDERS)
 def test_round_trip_random(rng, mode, order):

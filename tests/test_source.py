@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,6 +45,17 @@ def test_module_imports_nothing_from(module, banned):
         if name == banned or name.startswith(banned + ".")
     ]
     assert not found, f"polycert.{module} imports {found}"
+
+
+def test_the_package_imports_only_the_standard_library():
+    # polycert has no runtime dependencies
+    found = {
+        name.split(".")[0]
+        for path in sorted(SRC.rglob("*.py"))
+        for name in _imported_modules(path)
+    }
+    outside = sorted(found - set(sys.stdlib_module_names) - {"polycert"})
+    assert not outside, f"src/polycert imports {outside}"
 
 
 def test_every_entry_point_the_benchmark_calls_exists():

@@ -553,6 +553,26 @@ def test_factor_tables_stay_within_their_bound():
     assert len(textio._factor_tables(u.names)[0]) == 2  # 0 and 1, filled at start
 
 
+def test_parse_tables_stay_within_their_bound(monkeypatch):
+    # more distinct exponent and coefficient texts than a table keeps
+    n = textio._TABLE_SIZE + 100
+    x = VariableSet(("x",))
+    text = " + ".join(f"{n + e}*x^{e}" for e in range(n, 0, -1))
+    expected = poly_from_terms(GRLEX, [(ev_make((e,)), n + e) for e in range(n, 0, -1)])
+    assert parse_poly(text, x, GRLEX) == expected
+    assert len(textio._EXPONENTS) == len(textio._COEFFICIENTS) == textio._TABLE_SIZE
+    # a 70-digit text is converted but not kept, though the table has room
+    exponents = textio._Table(textio._exponent, {"": 0})
+    coefficients = textio._Table(textio._coefficient, {"": 1, "+": 1, "-": -1})
+    monkeypatch.setattr(textio, "_EXPONENTS", exponents)
+    monkeypatch.setattr(textio, "_COEFFICIENTS", coefficients)
+    big = 10**69 + 7
+    p = parse_poly(f"{big}*x^{big} - 12*x", x, GRLEX)
+    assert [(t.degrees.exponents, t.coeff) for t in p.terms] == [((big,), big), ((1,), -12)]
+    assert exponents == {"": 0, "x": 1}
+    assert coefficients == {"": 1, "+": 1, "-": -1, "-12": -12}
+
+
 @pytest.mark.parametrize("order", ORDERS)
 def test_read_sorted_is_poly_from_terms(order):
     # x^2 appears twice and combines; y appears twice and cancels
