@@ -7,8 +7,8 @@ verifier, text formats, and a CLI.
 """
 
 from .counters import OpCounters, count_ops
-from .geobucket import Geobucket, gb_new
-from .heapmul import GbRoute, mul_heap, mul_heap_gb
+from .geobucket import GbRoute, Geobucket, gb_new, mul_heap_gb
+from .heapmul import mul_heap
 from .monomial import (
     ExponentVector,
     MonomialOrder,
@@ -18,6 +18,7 @@ from .monomial import (
     ev_make,
 )
 from .poly import (
+    Certificate,
     Polynomial,
     Term,
     add,
@@ -25,6 +26,8 @@ from .poly import (
     mul_naive,
     negate,
     poly_from_terms,
+    read_naive,
+    read_sorted,
     scale,
     term_count,
     zero,
@@ -44,11 +47,8 @@ from .textio import (
     parse_certificate,
     parse_poly,
     print_poly,
-    read_naive,
-    read_sorted,
 )
 from .verifier import (
-    Certificate,
     ScanDirection,
     VerifyResult,
     combine,

@@ -30,8 +30,8 @@ from dataclasses import asdict
 from . import poly, textio
 from .counters import count_ops
 from .errors import FormatError, KernelError
-from .geobucket import Geobucket
-from .heapmul import GbRoute, mul_heap, mul_heap_gb
+from .geobucket import GbRoute, Geobucket, mul_heap_gb
+from .heapmul import mul_heap
 from .monomial import MonomialOrder, VariableSet
 from .recursive import RecursionMode, format_recursive, to_recursive
 from .verifier import ScanDirection, find_witness, verify

@@ -10,12 +10,19 @@ c**(k-1) < l <= c**k; if the merged bucket exceeds c**k terms the whole
 bucket cascades into bucket k+1, and so on.  The overflow check runs after
 the merge.  The first merge is a checked :func:`~polycert.poly.add`, so it
 checks p (:func:`~polycert.poly.checked_keys`) before any bucket changes.
+
+:func:`mul_heap_gb` merges f times each bucket over its route's fold size
+and f times the sum of the others, added as :meth:`Geobucket.normalize` adds.
 """
 
 from __future__ import annotations
 
+from enum import Enum
+from math import inf
+
 from . import poly
 from .errors import DomainError
+from .heapmul import collect, merge_sources
 from .monomial import MonomialOrder
 from .poly import Polynomial
 
@@ -57,10 +64,17 @@ class Geobucket:
 
     def normalize(self) -> Polynomial:
         """Collapse to a plain polynomial, adding buckets small to large."""
-        acc = poly.zero(self.order)
+        return self._fold()[0]
+
+    def _fold(self, size: float = inf) -> tuple[Polynomial, list[Polynomial]]:
+        """The sum of the buckets of at most `size` terms, and the larger ones."""
+        small, large = poly.zero(self.order), []
         for bk in self.buckets[1:]:
-            acc = poly.add(acc, bk)
-        return acc
+            if len(bk.terms) <= size:
+                small = poly.add(small, bk)
+            else:
+                large.append(bk)
+        return small, large
 
     def check_invariants(self) -> bool:
         for k in range(1, len(self.buckets)):
@@ -74,3 +88,27 @@ class Geobucket:
 
 def gb_new(order: MonomialOrder, c: int = 4) -> Geobucket:
     return Geobucket(order, c)
+
+
+class GbRoute(Enum):
+    CONVERT_FIRST = "convert"
+    PER_BUCKET_STREAMS = "per-bucket"
+    HYBRID = "hybrid"
+
+
+def mul_heap_gb(
+    f: Polynomial,
+    g: Geobucket,
+    route: GbRoute | str = GbRoute.CONVERT_FIRST,
+    hybrid_threshold: int = 16,
+) -> Polynomial:
+    """Multiply f by the value of a geobucket without caller-side conversion,
+    by `route`, a :class:`GbRoute` or its value (any other: ValueError).  The
+    buckets within the route's fold size (all for convert, none for
+    per-bucket, up to `hybrid_threshold` terms for hybrid) are added into
+    one list, streamed after each larger bucket."""
+    size = {GbRoute.CONVERT_FIRST: inf, GbRoute.PER_BUCKET_STREAMS: 0,
+            GbRoute.HYBRID: hybrid_threshold}[GbRoute(route)]
+    small, large = g._fold(size)
+    pairs = [(f, bk) for bk in large + [small]]
+    return collect(f.order, *merge_sources(pairs, f.order))

@@ -35,24 +35,21 @@ with a Fraction, is a Fraction over 1).
 
 Every product in the package is a thin consumer of the engine:
 :func:`mul_heap` merges the single pair (f, g) with at most #f heap keys and
-#f*#g extractions; :func:`mul_heap_gb` adds the buckets of a geobucket up
-to a fold threshold, which its route picks, into one list and streams that
-and each larger bucket as its own pair; the certificate verifier sets up
-(f_i, lambda_i) for every pair and (-1, f), then merges them.
+#f*#g extractions; :func:`~polycert.geobucket.mul_heap_gb` merges pairs
+(f, bucket); the certificate verifier merges (f_i, lambda_i) for every pair
+and (-1, f).
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from heapq import heappop, heappush, heapreplace
-from math import inf, lcm
+from math import lcm
 from operator import add
 from typing import Iterable, Iterator
 
 from . import poly
 from .counters import _scopes, tally
-from .geobucket import Geobucket
 from .monomial import ExponentVector, MonomialOrder, _set_exponents, _set_total
 from .poly import Coefficient, Polynomial, Term, _new, _set_coeff, _set_degrees
 from .poly import terms_unchecked
@@ -252,12 +249,6 @@ def merge_streams(sources: list[list], den: int | None = None) -> Iterator[Term]
     tally(adds, pops, pops, peak, port.comparisons)
 
 
-class GbRoute(Enum):
-    CONVERT_FIRST = "convert"
-    PER_BUCKET_STREAMS = "per-bucket"
-    HYBRID = "hybrid"
-
-
 def collect(
     order: MonomialOrder, sources: list[list], den: int | None = None
 ) -> Polynomial:
@@ -268,26 +259,3 @@ def collect(
 def mul_heap(f: Polynomial, g: Polynomial) -> Polynomial:
     """Johnson multiplication: f supplies the streams, g the term list."""
     return collect(f.order, *merge_sources([(f, g)], f.order))
-
-
-def mul_heap_gb(
-    f: Polynomial,
-    g: Geobucket,
-    route: GbRoute | str = GbRoute.CONVERT_FIRST,
-    hybrid_threshold: int = 16,
-) -> Polynomial:
-    """Multiply f by the value of a geobucket without caller-side conversion,
-    by `route`, a :class:`GbRoute` or its value (any other: ValueError).  The
-    buckets within the route's fold size (all for convert, none for
-    per-bucket, up to `hybrid_threshold` terms for hybrid) are added into
-    one list, streamed after each larger bucket."""
-    fold = {GbRoute.CONVERT_FIRST: inf, GbRoute.PER_BUCKET_STREAMS: 0,
-            GbRoute.HYBRID: hybrid_threshold}[GbRoute(route)]
-    small, lists = poly.zero(g.order), []
-    for bk in g.buckets[1:]:
-        if len(bk.terms) <= fold:
-            small = poly.add(small, bk)
-        else:
-            lists.append(bk)
-    pairs = [(f, bk) for bk in lists + [small]]
-    return collect(f.order, *merge_sources(pairs, f.order))

@@ -11,9 +11,13 @@ Every merge step in which both inputs are nonempty costs exactly one
 monomial comparison, so adding disjoint supports of sizes m and n costs at
 most m+n-1 comparisons, tallied once.
 
-:func:`poly_from_terms` sorts and combines any term sequence;
-:func:`polys_from_runs` builds many polynomials from term columns and takes
-a run already in order as it stands, counted as that sort would count it.
+:func:`poly_from_terms` sorts and combines any term sequence, as
+:func:`read_sorted` does a stream without zeros (n-1 comparisons when it is
+sorted; :func:`read_naive` is acceptance criterion 8's quadratic baseline).
+:func:`polys_from_runs` builds many polynomials from exponent and
+coefficient columns, packing their keys, and takes a run already in order as
+it stands, counted as that sort would count it.  A :class:`Certificate`
+pairs the cofactors lambda_i with the f_i of f = sum_i lambda_i * f_i.
 """
 
 from __future__ import annotations
@@ -21,15 +25,15 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat, starmap
+from itertools import islice, repeat, starmap
 from operator import gt, lt
 from typing import Iterable, Union
 
 from .counters import key_factory, tally
 from .errors import DomainError, EmptyPolynomialError, FormatError, KernelError
 from .errors import OrderMismatchError
-from .monomial import ExponentVector, MonomialOrder, ev_add, key_packer
-from .monomial import num_repr
+from .monomial import ExponentVector, MonomialOrder, VariableSet, ev_add
+from .monomial import evs_unchecked, key_packer, num_repr, pack_columns
 
 Coefficient = Union[int, Fraction]
 
@@ -74,6 +78,14 @@ class Polynomial:
         return not self.terms
 
 
+@dataclass(frozen=True)
+class Certificate:
+    varset: VariableSet
+    order: MonomialOrder
+    f: Polynomial
+    pairs: tuple[tuple[Polynomial, Polynomial], ...]  # (lambda_i, f_i)
+
+
 def zero(order: MonomialOrder) -> Polynomial:
     return Polynomial(order, ())
 
@@ -82,7 +94,10 @@ def poly_from_terms(
     order: MonomialOrder,
     pairs: Iterable[tuple[ExponentVector, Coefficient]],
 ) -> Polynomial:
-    """Normalize an unsorted term sequence: sort, combine duplicates, drop zeros."""
+    """Normalize an unsorted term sequence: sort, combine duplicates, drop
+    zeros; :func:`check_coefficients` first checks every coefficient given."""
+    pairs = list(pairs)
+    check_coefficients([c for _, c in pairs])
     combined: dict[tuple[int, ...], tuple[ExponentVector, Coefficient]] = {}
     for ev, c in pairs:
         old = combined.get(ev.exponents)
@@ -95,18 +110,26 @@ def poly_from_terms(
 
 def polys_from_runs(
     order: MonomialOrder,
-    degrees: list[ExponentVector],
+    columns: list[list[int]],
     coeffs: list[Coefficient],
-    descending: list[bool],
     bounds: list[int],
 ) -> list[Polynomial]:
     """:func:`poly_from_terms` of each run of terms ``a:b`` between
-    consecutive `bounds`, where ``descending[i]`` says whether monomial i is
-    above monomial i+1.  A run that strictly decreases with no zero
-    coefficient is a polynomial as it stands, tallied as the n-1 comparisons
-    that ``poly_from_terms``' sort makes on it (a reversed sort of a strictly
-    decreasing list scans one ascending run); any other run goes through
-    ``poly_from_terms``."""
+    consecutive `bounds`, term i with exponents ``columns[v][i]`` (one
+    column per variable, left empty once packed) and coefficient
+    ``coeffs[i]``.  A run whose packed keys strictly decrease, with no zero
+    coefficient, is a polynomial as it stands, tallied as the n-1
+    comparisons that ``poly_from_terms``' sort makes on it (a reversed sort
+    of a strictly decreasing list scans one ascending run); any other run
+    goes through ``poly_from_terms``."""
+    exps = list(zip(*columns))
+    totals = list(map(sum, exps))
+    keys = pack_columns(order, columns, totals)
+    columns.clear()
+    descending = list(map(gt, keys, islice(keys, 1, None)))
+    del keys
+    degrees = evs_unchecked(exps, totals)
+    del exps, totals
     terms = terms_unchecked(degrees, coeffs)
     polys, comparisons = [], 0
     for a, b in zip(bounds, bounds[1:]):
@@ -117,6 +140,28 @@ def polys_from_runs(
             polys.append(poly_from_terms(order, zip(degrees[a:b], coeffs[a:b])))
     tally(comparisons=comparisons)
     return polys
+
+
+def read_sorted(
+    stream: Iterable[tuple[ExponentVector, Coefficient]], order: MonomialOrder
+) -> Polynomial:
+    """Build a polynomial from a term stream, in n-1 comparisons when sorted."""
+    pairs = list(stream)
+    if any(c == 0 for _, c in pairs):
+        raise FormatError("zero coefficient in term stream")
+    return poly_from_terms(order, pairs)
+
+
+def read_naive(
+    stream: Iterable[tuple[ExponentVector, Coefficient]], order: MonomialOrder
+) -> Polynomial:
+    """Read-a-term, add-it-to-the-polynomial baseline (quadratic on sorted input)."""
+    acc = zero(order)
+    for ev, c in stream:
+        if c == 0:
+            raise FormatError("zero coefficient in term stream")
+        acc = add(acc, Polynomial(order, (Term(ev, c),)))
+    return acc
 
 
 def checked_keys(
@@ -177,11 +222,13 @@ def add(p: Polynomial, q: Polynomial) -> Polynomial:
 
 
 def negate(p: Polynomial) -> Polynomial:
+    checked_keys(p.order, [p])
     return Polynomial(p.order, tuple(Term(t.degrees, -t.coeff) for t in p.terms))
 
 
 def scale(c: Coefficient, p: Polynomial) -> Polynomial:
     check_coefficients([c])
+    checked_keys(p.order, [p])
     if c == 0:
         return zero(p.order)
     tally(coeff_muls=len(p.terms))
@@ -214,6 +261,7 @@ def mul_naive(p: Polynomial, q: Polynomial) -> Polynomial:
 
 
 def leading_term(p: Polynomial) -> Term:
+    checked_keys(p.order, [p])
     if not p.terms:
         raise EmptyPolynomialError("zero polynomial has no leading term")
     return p.terms[0]

@@ -36,7 +36,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Optional, Union
 
-from .errors import DomainError, FormatError, StructureError
+from .errors import DimensionError, DomainError, FormatError, StructureError
 from .monomial import MonomialOrder, VariableSet, ev_make, num_repr
 from .poly import Coefficient, Polynomial, Term, check_coefficients, poly_from_terms
 from .textio import format_coeff, print_poly
@@ -105,8 +105,13 @@ def format_recursive(r: RecursivePoly) -> str:
 def to_recursive(
     p: Polynomial, varset: VariableSet, mode: RecursionMode
 ) -> RecursivePoly:
-    """Convert a distributed polynomial to recursive form."""
+    """Convert a distributed polynomial to recursive form.  Raises
+    :class:`DimensionError` unless every term has ``len(varset)`` exponents,
+    and :func:`check_coefficients`' error."""
     entries = [(t.degrees.exponents, t.coeff) for t in p.terms]
+    if dims := {len(e) for e, _ in entries} - {len(varset)}:
+        raise DimensionError(f"expected {len(varset)} exponents, got {dims.pop()}")
+    check_coefficients([c for _, c in entries])
 
     def build(entries, vi: int) -> RecursivePoly:
         if not entries:
@@ -141,9 +146,8 @@ def to_distributed(
     terms: list[tuple] = []
 
     def walk(node: RecursivePoly, exps: list[int]) -> None:
-        if isinstance(node, Const):
-            if node.value != 0:
-                terms.append((ev_make(tuple(exps)), node.value))
+        if isinstance(node, Const):  # poly_from_terms checks it, and drops a 0
+            terms.append((ev_make(tuple(exps)), node.value))
             return
         if node.var is None:
             raise StructureError("anonymous variable cannot be distributed")

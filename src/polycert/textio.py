@@ -26,11 +26,11 @@ label.
 :func:`parse_poly` reads text that is wholly canonical, or else the general
 scan reads it all.  Canonical text is a run of terms as :func:`print_poly`
 writes them, each one match of a pattern compiled once per variable set;
-``findall`` takes them a slice at a time, and the terms are built a column
-at a time in C (exponents and coefficients looked up in a :class:`_Table`
-each, packed keys added up per variable).  :func:`~polycert.poly.polys_from_runs`
-takes text in order without zero terms as it stands and sends other
-canonical text through :func:`~polycert.poly.poly_from_terms`.
+``findall`` takes them a slice at a time, and their exponent and
+coefficient columns are built in C (each looked up in a :class:`_Table`);
+:func:`~polycert.poly.polys_from_runs` takes text in order without zero
+terms as it stands and sends other canonical text through
+:func:`~polycert.poly.poly_from_terms`.
 :func:`parse_certificate` reads all of a certificate's sections in one such
 batch: its canonical sections are built together, each other section is read
 by the general scan on its own, in section order.  The general scan (term
@@ -44,12 +44,6 @@ conversion is quadratic in its length.
 :func:`print_poly` looks each exponent's factor text up in a per-variable
 :class:`_Table` (:func:`_factor_tables`, cached per variable set) and joins a
 term's factors in C.
-
-Reading term streams: :func:`read_sorted` rejects a zero coefficient and
-hands the stream to :func:`~polycert.poly.poly_from_terms`, whose sort
-makes exactly n-1 comparisons on a strictly decreasing stream and also
-takes any other; :func:`read_naive` is the quadratic read-and-add baseline
-kept for benchmarks.
 """
 
 from __future__ import annotations
@@ -57,17 +51,14 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import compress, islice
-from operator import add, gt, itemgetter
-from typing import Callable, Iterable
+from itertools import compress
+from operator import add, itemgetter
+from typing import Callable
 
-from . import poly
-from .errors import CertificateFormatError, FormatError, ParseError
-from .monomial import ExponentVector, MonomialOrder, VariableSet
-from .monomial import ev_make, evs_unchecked, pack_columns
+from .errors import CertificateFormatError, DimensionError, ParseError
+from .monomial import ExponentVector, MonomialOrder, VariableSet, ev_make
 from .monomial import int_str as _str
-from .poly import Coefficient, Polynomial, Term, poly_from_terms, polys_from_runs
-from .verifier import Certificate
+from .poly import Certificate, Coefficient, Polynomial, poly_from_terms, polys_from_runs
 
 # A term is a head (sign, integer, '/' denominator; each optional), then
 # factors joined by '*'.  Each pattern ends past trailing whitespace, so the
@@ -192,11 +183,10 @@ def _parse_texts(
     lengths add up to its length, and a text whose slices are all taken
     whole is canonical: they are the matches a left-to-right scan makes.
     A slice with no match at its start, where ``findall`` tries first,
-    skips it.  The terms of canonical texts are built together, a column at
-    a time in C, from rows moved into columns (:func:`_read_rows`) a few
-    thousand at a time, so the term strings die early;
-    :func:`~polycert.poly.polys_from_runs` makes each polynomial.  Any other
-    text is read by the general scan alone, through
+    skips it.  Canonical texts' rows move into exponent and coefficient
+    columns (:func:`_read_rows`) a few thousand at a time, so the term
+    strings die early; :func:`~polycert.poly.polys_from_runs` makes their
+    polynomials.  Any other text is read by the general scan alone, through
     :func:`~polycert.poly.poly_from_terms`; canonical text never raises."""
     pattern, whole = _term_pattern(varset.names), itemgetter(0)
     exps_by_var: list[list[int]] = [[] for _ in varset.names]
@@ -229,15 +219,7 @@ def _parse_texts(
             raise ParseError("empty polynomial text", 0)
         polys.append(poly_from_terms(order, _scan(text, varset)))
     _read_rows(rows, exps_by_var, coeffs, denominators)
-    exps = list(zip(*exps_by_var))
-    totals = list(map(sum, exps))
-    keys = pack_columns(order, exps_by_var, totals)
-    del exps_by_var
-    descending = list(map(gt, keys, islice(keys, 1, None)))
-    del keys
-    evs = evs_unchecked(exps, totals)
-    del exps, totals
-    canonical = iter(polys_from_runs(order, evs, coeffs, descending, bounds))
+    canonical = iter(polys_from_runs(order, exps_by_var, coeffs, bounds))
     return [next(canonical) if p is None else p for p in polys]
 
 
@@ -315,9 +297,12 @@ def print_poly(p: Polynomial, varset: VariableSet) -> str:
 
     Each variable's factor text is looked up, in C, in a table of that
     variable's exponents (:func:`_factor_tables`), and each distinct
-    denominator is printed once."""
+    denominator is printed once.  :class:`DimensionError` unless p's leading
+    term has ``len(varset)`` exponents."""
     if not p.terms:
         return "0"
+    if (n := len(p.terms[0].degrees.exponents)) != len(varset):
+        raise DimensionError(f"expected {len(varset)} exponents, got {n}")
     tables, factor = _factor_tables(varset.names), dict.__getitem__
     denominators = cache(_str)  # for this call: denominators repeat across terms
     chunks = []  # one string per term, so the peak stays one object a term
@@ -338,28 +323,6 @@ def print_poly(p: Polynomial, varset: VariableSet) -> str:
     first = chunks[0]
     chunks[0] = f"-{first[3:]}" if first[1] == "-" else first[3:]
     return "".join(chunks)
-
-
-def read_sorted(
-    stream: Iterable[tuple[ExponentVector, Coefficient]], order: MonomialOrder
-) -> Polynomial:
-    """Build a polynomial from a term stream, in n-1 comparisons when sorted."""
-    pairs = list(stream)
-    if any(c == 0 for _, c in pairs):
-        raise FormatError("zero coefficient in term stream")
-    return poly_from_terms(order, pairs)
-
-
-def read_naive(
-    stream: Iterable[tuple[ExponentVector, Coefficient]], order: MonomialOrder
-) -> Polynomial:
-    """Read-a-term, add-it-to-the-polynomial baseline (quadratic on sorted input)."""
-    acc = poly.zero(order)
-    for ev, c in stream:
-        if c == 0:
-            raise FormatError("zero coefficient in term stream")
-        acc = poly.add(acc, Polynomial(order, (Term(ev, c),)))
-    return acc
 
 
 # -- certificate files -------------------------------------------------------

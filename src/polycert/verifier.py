@@ -37,21 +37,13 @@ from .errors import (
     CertificateFormatError, DimensionError, FormatError, OrderMismatchError,
 )
 from .heapmul import collect, merge_sources, merge_streams
-from .monomial import ExponentVector, MonomialOrder, VariableSet, ev_make, num_repr
-from .poly import Coefficient, Polynomial, Term
+from .monomial import ExponentVector, ev_make, num_repr
+from .poly import Certificate, Coefficient, Polynomial, Term
 
 
 class ScanDirection(Enum):
     MAX_FIRST = "max"
     MIN_FIRST = "min"
-
-
-@dataclass(frozen=True)
-class Certificate:
-    varset: VariableSet
-    order: MonomialOrder
-    f: Polynomial
-    pairs: tuple[tuple[Polynomial, Polynomial], ...]  # (lambda_i, f_i)
 
 
 @dataclass

@@ -11,20 +11,26 @@ from decimal import Decimal
 import pytest
 
 from polycert import (
+    Const,
     GbRoute,
     Geobucket,
     MonomialOrder,
     OpCounters,
     Polynomial,
+    VariableSet,
     add,
     count_ops,
     ev_make,
+    leading_term,
     mul_heap_gb,
     mul_naive,
+    negate,
     poly_from_terms,
+    read_sorted,
     scale,
+    to_distributed,
 )
-from polycert.errors import DomainError
+from polycert.errors import DomainError, FormatError
 from polycert.poly import Term, is_well_formed
 
 from conftest import ORDERS, random_poly
@@ -57,6 +63,52 @@ def test_scale_rejects_a_coefficient_outside_the_domain(bad):
     message = re.escape(f"coefficient {bad!r} is neither an int nor a Fraction")
     with count_ops() as c, pytest.raises(DomainError, match=message):
         scale(bad, p)
+    assert c == OpCounters()
+
+
+GRLEX = MonomialOrder.GRLEX
+HALF = Polynomial(GRLEX, (Term(ev_make((1, 0)), 1), Term(ev_make((0, 0)), 0.5)))
+UNSORTED = Polynomial(GRLEX, (Term(ev_make((0, 0)), 1), Term(ev_make((1, 0)), 2)))
+
+
+def test_scale_checks_the_polynomial_after_the_scalar():
+    for c in (2, 0):
+        with count_ops() as counts, pytest.raises(DomainError, match="0.5"):
+            scale(c, HALF)
+        assert counts == OpCounters()
+    with pytest.raises(DomainError, match="1.5"):
+        scale(1.5, HALF)
+    with pytest.raises(FormatError, match="not strictly decreasing"):
+        scale(2, UNSORTED)
+
+
+def test_negate_checks_its_input():
+    with pytest.raises(DomainError, match="0.5"):
+        negate(HALF)
+    with pytest.raises(FormatError, match="not strictly decreasing"):
+        negate(UNSORTED)
+
+
+def test_leading_term_checks_its_input():
+    with pytest.raises(FormatError, match="not strictly decreasing"):
+        leading_term(UNSORTED)
+    with pytest.raises(DomainError, match="0.5"):
+        leading_term(HALF)
+
+
+@pytest.mark.parametrize("bad", [0.5, 0.0, -1.0, Decimal("1.5")])
+def test_poly_from_terms_rejects_a_coefficient_outside_the_domain(bad):
+    # -1.0 combines with the 1 into a float 0.0, which the sum would drop
+    pairs = [(ev_make((1, 0)), 1), (ev_make((1, 0)), bad), (ev_make((0, 0)), 2)]
+    message = re.escape(f"coefficient {bad!r} is neither an int nor a Fraction")
+    with count_ops() as c:
+        with pytest.raises(DomainError, match=message):
+            poly_from_terms(GRLEX, pairs)
+        if bad != 0:
+            with pytest.raises(DomainError, match=message):
+                read_sorted(pairs[1:], GRLEX)
+        with pytest.raises(DomainError, match=message):
+            to_distributed(Const(bad), VariableSet(("x", "y")), GRLEX)
     assert c == OpCounters()
 
 

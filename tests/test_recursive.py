@@ -22,7 +22,7 @@ from polycert import (
     univ_pseudo_divide,
     zero,
 )
-from polycert.errors import DomainError, FormatError, StructureError
+from polycert.errors import DimensionError, DomainError, FormatError, StructureError
 from polycert.recursive import is_well_formed, univariate
 
 from conftest import ORDERS, random_poly
@@ -235,3 +235,16 @@ def test_to_recursive_rejects_a_repeated_monomial(mode):
     for terms in [(t, t), (t, s, Term(ev_make((1, 2)), 2))]:
         with pytest.raises(FormatError, match=r"repeated monomial x\*y\^2"):
             to_recursive(Polynomial(GRLEX, terms), xy, mode)
+
+
+@pytest.mark.parametrize("mode", list(RecursionMode))
+def test_to_recursive_takes_only_its_variable_set_and_domain(mode):
+    xy = VariableSet(("x", "y"))
+    longer = parse_poly("x + z", VariableSet(("x", "y", "z")), GRLEX)
+    shorter = Polynomial(GRLEX, (Term(ev_make((1,)), 1),))
+    for p, n in [(longer, 3), (shorter, 1)]:
+        with pytest.raises(DimensionError, match=f"expected 2 exponents, got {n}"):
+            to_recursive(p, xy, mode)
+    half = Polynomial(GRLEX, (Term(ev_make((1, 0)), 0.5),))
+    with pytest.raises(DomainError, match="coefficient 0.5 is neither"):
+        to_recursive(half, xy, mode)

@@ -36,7 +36,8 @@ def _imported_modules(path):
 @pytest.mark.parametrize("module, banned", [
     ("monomial", "counters"), ("textio", "geobucket"), ("poly", "monomial.ev_compare"),
     ("geobucket", "monomial.ev_compare"), ("heapmul", "monomial.ev_compare"),
-    ("verifier", "monomial.ev_compare"),
+    ("verifier", "monomial.ev_compare"), ("heapmul", "geobucket"), ("textio", "verifier"),
+    ("textio", "monomial.pack_columns"), ("textio", "monomial.evs_unchecked"),
 ])
 def test_module_imports_nothing_from(module, banned):
     banned = f"polycert.{banned}"
@@ -45,6 +46,42 @@ def test_module_imports_nothing_from(module, banned):
         if name == banned or name.startswith(banned + ".")
     ]
     assert not found, f"polycert.{module} imports {found}"
+
+
+@pytest.mark.parametrize("module, allowed", [
+    ("heapmul", {"counters", "monomial", "poly"}), ("textio", {"errors", "monomial", "poly"}),
+])
+def test_module_imports_only(module, allowed):
+    # none of these reaches back up: the merge engine does not know the
+    # geobucket, and the text layer knows neither the engine nor the verifier
+    found = {
+        name.split(".")[1] for name in _imported_modules(SRC / f"{module}.py")
+        if name.startswith("polycert.") and (SRC / f"{name.split('.')[1]}.py").exists()
+    }
+    assert found == allowed
+
+
+def test_only_poly_packs_monomial_keys():
+    # the packed key format is monomial's, and poly alone builds keys from it
+    packers = {f"polycert.monomial.{name}" for name in
+               ("key_packer", "pack_columns", "evs_unchecked")}
+    users = {path.stem for path in SRC.glob("*.py") if packers & set(_imported_modules(path))}
+    assert users == {"poly"}
+
+
+def test_the_public_names_stay_the_same():
+    # a name moved between modules stays exported from the package
+    assert sorted(polycert.__all__) == [
+        "Certificate", "Const", "ExponentVector", "GbRoute", "Geobucket", "MonomialOrder",
+        "Node", "OpCounters", "Polynomial", "RecursionMode", "ScanDirection", "Term",
+        "VariableSet", "VerifyResult", "add", "combine", "count_ops", "ev_add",
+        "ev_compare", "ev_make", "find_witness", "format_certificate", "format_recursive",
+        "gb_new", "leading_term", "mul_heap", "mul_heap_gb", "mul_naive", "negate",
+        "parse_certificate", "parse_poly", "poly_from_terms", "print_poly", "read_naive",
+        "read_sorted", "scale", "term_count", "to_distributed", "to_recursive",
+        "univ_divide", "univ_pseudo_divide", "verify", "verify_naive", "zero",
+    ]
+    assert all(hasattr(polycert, name) for name in polycert.__all__)
 
 
 def test_the_package_imports_only_the_standard_library():

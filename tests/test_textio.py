@@ -18,7 +18,7 @@ from polycert import (
     term_count,
     zero,
 )
-from polycert.errors import CertificateFormatError, FormatError, ParseError
+from polycert.errors import CertificateFormatError, DimensionError, FormatError, ParseError
 
 from conftest import BIG_COFACTOR_TEXT, BIG_COFACTOR_VARS, ORDERS, random_poly
 
@@ -175,6 +175,18 @@ def test_certificate_round_trip(rng):
         f = random_poly(rng, GRLEX, 4, nvars=2)
         cert = Certificate(vs, GRLEX, f, pairs)
         assert parse_certificate(format_certificate(cert)) == cert
+
+
+def test_printing_over_another_variable_set_is_rejected():
+    xy = VariableSet(("x", "y"))
+    longer = parse_poly("x + z", VariableSet(("x", "y", "z")), GRLEX)
+    shorter = parse_poly("x + 1", VariableSet(("x",)), GRLEX)
+    for p, n in [(longer, 3), (shorter, 1)]:
+        with pytest.raises(DimensionError, match=f"expected 2 exponents, got {n}"):
+            print_poly(p, xy)
+        with pytest.raises(DimensionError, match=f"expected 2 exponents, got {n}"):
+            format_certificate(Certificate(xy, GRLEX, p, ((p, p),)))
+    assert print_poly(zero(GRLEX), xy) == "0"
 
 
 def test_certificate_continuation_lines_and_comments():
