@@ -1,0 +1,88 @@
+#!/usr/bin/env python3
+"""Time the phases of verifying a perfbench pool's certificates.
+
+It builds the seeded ``verify`` pool through ``perfbench/gen.py`` in memory
+(reading nothing from disk and writing nothing under ``perfbench/``), takes
+its direct verify ops (those not run through the CLI), and times four
+phases, each as one pass over those ops:
+
+- ``parse_s``: ``parse_certificate`` of each distinct certificate text
+- ``setup_s``: the merge set-up of each op (``verifier._checked_sources``)
+- ``verify_s``: the counted ``verify`` of each op
+- ``find_witness_s``: the uncounted ``find_witness`` of each op
+
+The phases take turns, one pass each per round, and each figure is the best
+of ``--repeat`` rounds, in seconds.  The script prints one JSON line:
+
+    python3 scripts/phase_split.py [--seed 1] [--repeat 7] [--ops N]
+
+``--ops N`` keeps the first N direct verify ops only.  It imports
+``polycert`` from the ``src`` directory next to it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import json
+import sys
+from pathlib import Path
+from time import perf_counter
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(1, str(ROOT / "perfbench"))
+sys.dont_write_bytecode = True  # the pool's modules are imported, never cached
+
+import gen  # noqa: E402
+from polycert import ScanDirection, find_witness, parse_certificate, verify  # noqa: E402
+from polycert.verifier import _checked_sources  # noqa: E402
+
+
+def timed(call) -> float:
+    gc.collect()
+    start = perf_counter()
+    call()
+    return perf_counter() - start
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seed", type=int, default=1, help="pool seed (default 1)")
+    ap.add_argument("--repeat", type=int, default=7, help="rounds, best kept (default 7)")
+    ap.add_argument("--ops", type=int, default=None, help="first N direct verify ops only")
+    args = ap.parse_args()
+    pool = gen.build("verify", args.seed)
+    ops = [op for op in pool.ops if op.kind == "verify" and not op.cli][: args.ops]
+    texts = {op.cert: pool.files[op.cert] for op in ops}
+    certs = {name: parse_certificate(text) for name, text in texts.items()}
+    jobs = [(certs[op.cert], ScanDirection(op.direction)) for op in ops]
+
+    def parse():
+        for text in texts.values():
+            parse_certificate(text)
+
+    def setup():
+        for cert, direction in jobs:
+            _checked_sources(cert, direction is ScanDirection.MAX_FIRST, True)
+
+    def counted():
+        for cert, direction in jobs:
+            verify(cert, direction)
+
+    def uncounted():
+        for cert, direction in jobs:
+            find_witness(cert, direction)
+
+    phases = {"parse_s": parse, "setup_s": setup, "verify_s": counted,
+              "find_witness_s": uncounted}
+    best = dict.fromkeys(phases, float("inf"))
+    for _ in range(args.repeat):
+        for name, call in phases.items():
+            best[name] = min(best[name], timed(call))
+    print(json.dumps({"seed": args.seed, "certificates": len(texts), "ops": len(jobs),
+                      "repeat": args.repeat, **{k: round(v, 4) for k, v in best.items()}}))
+
+
+if __name__ == "__main__":
+    main()

@@ -14,8 +14,13 @@ and records, each in its own ``count_ops`` scope:
 
 A record is the call's output in canonical form plus every ``OpCounters``
 field.  Each ``verify`` record is also checked against an unscoped
-``find_witness`` call, which must return the same witness; a mismatch stops
-the script with an ``AssertionError``.  The script prints the record count
+``find_witness`` call, which must return the same witness.  Each ``verify``
+and ``combine`` record is checked against the same call on its certificate
+written by ``format_certificate`` and read back by ``parse_certificate``,
+which must give an equal output and the same counters.  The text cannot
+hold a zero term of f, so where f has one, the reference is the call on the
+certificate without it.  A mismatch stops the script with an
+``AssertionError``.  The script prints the record count
 and the SHA-256 digest of all records, so two checkouts that print the same
 line agree on every output and every counter:
 
@@ -30,7 +35,7 @@ import argparse
 import hashlib
 import random
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -49,10 +54,12 @@ from polycert import (  # noqa: E402
     count_ops,
     ev_make,
     find_witness,
+    format_certificate,
     gb_new,
     mul_heap,
     mul_heap_gb,
     mul_naive,
+    parse_certificate,
     poly_from_terms,
     verify,
     zero,
@@ -102,6 +109,16 @@ def replay(seed: int):
             out = call()
         return name, out, c
 
+    def parsed_alike(record, cert, call):
+        """`record`, of ``call(cert)``, once `call` on `cert` read back from
+        its text gives an equal output and the same counters."""
+        back = parse_certificate(format_certificate(cert))
+        plain = replace(cert, f=Polynomial(order, tuple(t for t in cert.f.terms if t.coeff)))
+        expected = record if plain == cert else scoped(record[0], lambda: call(plain))
+        if back != plain or scoped(record[0], lambda: call(back))[1:] != expected[1:]:
+            raise AssertionError(f"seed {seed}: the parsed certificate differs on {record[0]}")
+        return record
+
     raw = random_terms(rng, nvars, rng.randint(0, 40), max_exp, rational)
     raw += raw[: len(raw) // 4]  # duplicates to combine
     rng.shuffle(raw)
@@ -135,7 +152,7 @@ def replay(seed: int):
                             lambda: verify(cert, direction))
             if find_witness(cert, direction) != record[1].witness:
                 raise AssertionError(f"seed {seed}: find_witness is not {record[0]}")
-            yield record
+            yield parsed_alike(record, cert, lambda c: verify(c, direction))
 
     stop = rng.randint(0, 5)
 
@@ -144,7 +161,7 @@ def replay(seed: int):
         return [term for _, term in zip(range(stop), it)]
 
     yield scoped("merge_products.partial", partial)
-    yield scoped("combine", lambda: combine(valid))
+    yield parsed_alike(scoped("combine", lambda: combine(valid)), valid, combine)
 
 
 def main() -> None:

@@ -50,20 +50,20 @@ class MonomialOrder(Enum):
 
 
 def key_packer(order: MonomialOrder, evs: list[ExponentVector], summands: int = 1,
-               sign: int = 1):
+               sign: int = 1, shift: int = 0):
     """Pack `sign` (1 or -1) times :meth:`MonomialOrder.key` of any of `evs`
     into one int, in base B = 2^s above any digit of a sum of `summands`
-    keys (no digit exceeds a total).  A key's digits after the first share
-    one sign, so lower digits never outweigh a higher one: int ``<`` orders
-    as `sign` times the order, and int ``+`` of packed keys packs the
-    monomial product.
+    keys (no digit exceeds a total), or at s = `shift` when that is wider.
+    A key's digits after the first share one sign, so lower digits never
+    outweigh a higher one: int ``<`` orders as `sign` times the order, and
+    int ``+`` of packed keys packs the monomial product.
 
     The key is linear in the exponents, so the packed int is their dot
     product with one weight per variable (:func:`_weights`, cached per
     order, length and base) times `sign`."""
     if len({len(ev.exponents) for ev in evs}) > 1:
         raise DimensionError("exponent vectors of mixed lengths")
-    shift = (summands * max((ev.total for ev in evs), default=0)).bit_length()
+    shift = max(shift, (summands * max((ev.total for ev in evs), default=0)).bit_length())
     weights = [sign * w for w in _weights(order, len(evs[0].exponents) if evs else 0, shift)]
 
     def pack(ev: ExponentVector) -> int:
@@ -72,14 +72,12 @@ def key_packer(order: MonomialOrder, evs: list[ExponentVector], summands: int = 
     return pack
 
 
-def pack_columns(
-    order: MonomialOrder, columns: list[list[int]], totals: list[int]
-) -> list[int]:
-    """:func:`key_packer`'s packed key of each monomial whose exponents are
-    given one column per variable, with their totals: one weighted column
-    added at a time, in C."""
-    weights = _weights(order, len(columns), max(totals, default=0).bit_length())
-    keys = [0] * len(totals)
+def pack_columns(order: MonomialOrder, columns: list[list[int]], shift: int) -> list[int]:
+    """:func:`key_packer`'s packed key, at `shift`, of each monomial whose
+    exponents are given one column per variable: one weighted column added
+    at a time, in C."""
+    weights = _weights(order, len(columns), shift)
+    keys = [0] * len(columns[0])
     for column, weight in zip(columns, weights):
         keys = list(map(add, keys, map(mul, column, repeat(weight))))
     return keys

@@ -15,9 +15,11 @@ most m+n-1 comparisons, tallied once.
 :func:`read_sorted` does a stream without zeros (n-1 comparisons when it is
 sorted; :func:`read_naive` is acceptance criterion 8's quadratic baseline).
 :func:`polys_from_runs` builds many polynomials from exponent and
-coefficient columns, packing their keys, and takes a run already in order as
-it stands, counted as that sort would count it.  A :class:`Certificate`
-pairs the cofactors lambda_i with the f_i of f = sum_i lambda_i * f_i.
+coefficient columns, packing each key once, at the width of a merge, and
+takes a run already in order as it stands, counted as that sort would count
+it; it returns the keys with the polynomials, and :func:`checked_keys` takes
+them instead of packing again.  A :class:`Certificate` pairs the cofactors
+lambda_i with the f_i of f = sum_i lambda_i * f_i.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat, starmap
-from operator import gt, lt
+from operator import gt, lt, neg
 from typing import Iterable, Union
 
 from .counters import key_factory, tally
@@ -80,6 +82,10 @@ class Polynomial:
 
 @dataclass(frozen=True)
 class Certificate:
+    """A parsed certificate also keeps, outside its fields, the keys its
+    parser packed (``_packed``), which the verifier hands to the merge;
+    equality, repr and :func:`dataclasses.replace` ignore them."""
+
     varset: VariableSet
     order: MonomialOrder
     f: Polynomial
@@ -113,33 +119,42 @@ def polys_from_runs(
     columns: list[list[int]],
     coeffs: list[Coefficient],
     bounds: list[int],
-) -> list[Polynomial]:
+    top: int = 0,
+) -> tuple[list[Polynomial], tuple[int, list[int], list[slice | None]]]:
     """:func:`poly_from_terms` of each run of terms ``a:b`` between
     consecutive `bounds`, term i with exponents ``columns[v][i]`` (one
     column per variable, left empty once packed) and coefficient
-    ``coeffs[i]``.  A run whose packed keys strictly decrease, with no zero
-    coefficient, is a polynomial as it stands, tallied as the n-1
+    ``coeffs[i]``, and the keys it packed: ``(shift, keys, spans)``.
+
+    Every term is packed once, at the `shift` for sums of two keys of total
+    degree up to `top` or any run's, so that a merge of these polynomials
+    with others of total degree up to `top` takes their keys as they are
+    (:func:`checked_keys`).  A run whose keys strictly decrease, with no
+    zero coefficient, is a polynomial as it stands, whose keys are
+    ``keys[span]`` for its span ``slice(a, b)``, tallied as the n-1
     comparisons that ``poly_from_terms``' sort makes on it (a reversed sort
     of a strictly decreasing list scans one ascending run); any other run
-    goes through ``poly_from_terms``."""
+    goes through ``poly_from_terms``, and its span is None."""
     exps = list(zip(*columns))
     totals = list(map(sum, exps))
-    keys = pack_columns(order, columns, totals)
+    shift = (2 * max(top, max(totals, default=0))).bit_length()
+    keys = pack_columns(order, columns, shift)
     columns.clear()
     descending = list(map(gt, keys, islice(keys, 1, None)))
-    del keys
     degrees = evs_unchecked(exps, totals)
     del exps, totals
     terms = terms_unchecked(degrees, coeffs)
-    polys, comparisons = [], 0
+    polys, spans, comparisons = [], [], 0
     for a, b in zip(bounds, bounds[1:]):
         if all(descending[a : b - 1]) and all(coeffs[a:b]):
             polys.append(Polynomial(order, tuple(terms[a:b])))
+            spans.append(slice(a, b))
             comparisons += b - a - 1
         else:
             polys.append(poly_from_terms(order, zip(degrees[a:b], coeffs[a:b])))
+            spans.append(None)
     tally(comparisons=comparisons)
-    return polys
+    return polys, (shift, keys, spans)
 
 
 def read_sorted(
@@ -165,19 +180,38 @@ def read_naive(
 
 
 def checked_keys(
-    order: MonomialOrder, polys: list[Polynomial], summands: int = 1, sign: int = 1
+    order: MonomialOrder, polys: list[Polynomial], summands: int = 1, sign: int = 1,
+    packed: tuple[int, list[int], list[slice | None]] | None = None,
 ) -> tuple[list[list[int]], bool]:
     """Each of `polys`' term keys, packed by one :func:`key_packer` for sums
     of `summands` keys and times `sign`, and whether any coefficient is a
     Fraction.  Raises :class:`OrderMismatchError` unless each is in `order`,
     :class:`DimensionError` unless all have one dimension, :class:`FormatError`
     unless each strictly decreases, and :func:`check_coefficients`' error.
-    Zero coefficients pass; counts nothing."""
+    Zero coefficients pass; counts nothing.
+
+    `packed`, ``(shift, keys, spans)`` with one span per polynomial, hands
+    over keys packed at `shift` for sums of `summands` keys, as
+    :func:`polys_from_runs` packs them: a polynomial whose span is a slice
+    takes ``keys[span]``, negated when `sign` is -1, and those whose span is
+    None are packed at `shift`, when their totals fit it; else every key is
+    packed here.  Only a handed polynomial's first monomial joins the
+    dimension check; its order, descent and coefficients are checked in
+    full."""
     for p in polys:
         if p.order is not order:
             raise OrderMismatchError(f"{p.order} vs {order}")
-    pack = key_packer(order, [t.degrees for p in polys for t in p.terms], summands, sign)
-    keys = [[pack(t.degrees) for t in p.terms] for p in polys]
+    shift, handed, spans = packed or (0, [], [None] * len(polys))
+    evs = [t.degrees for p, span in zip(polys, spans) if span is None for t in p.terms]
+    evs += [p.terms[0].degrees for p, span in zip(polys, spans) if span]
+    if packed and (summands * max((ev.total for ev in evs), default=0)).bit_length() > shift:
+        shift, handed, spans = 0, [], [None] * len(polys)  # too narrow: pack all
+        evs = [t.degrees for p in polys for t in p.terms]
+    pack = key_packer(order, evs, summands, sign, shift)
+    if sign < 0:
+        handed = list(map(neg, handed))
+    keys = [handed[span] if span else [pack(t.degrees) for t in p.terms]
+            for p, span in zip(polys, spans)]
     if not all(all(map(gt if sign > 0 else lt, k, k[1:])) for k in keys):
         raise FormatError("terms not strictly decreasing")
     return keys, check_coefficients([t.coeff for p in polys for t in p.terms])

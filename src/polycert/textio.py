@@ -33,9 +33,11 @@ terms as it stands and sends other canonical text through
 :func:`~polycert.poly.poly_from_terms`.
 :func:`parse_certificate` reads all of a certificate's sections in one such
 batch: its canonical sections are built together, each other section is read
-by the general scan on its own, in section order.  The general scan (term
-head, factor, '*' patterns) accepts the whole grammar and is the only source
-of :class:`ParseError`, each with a position.  Coefficients are exact at any
+by the general scan on its own, in section order.  The batch's keys are
+packed once, wide enough for the merge of the whole certificate, which keeps
+them for the verifier's merge set-up.  The general scan (term head, factor,
+'*' patterns) accepts the whole grammar and is the only source of
+:class:`ParseError`, each with a position.  Coefficients are exact at any
 length: digit strings and integers beyond the interpreter's int-string digit
 limit are converted in pieces, without changing the limit.  Each distinct
 denominator is converted once per call, read or printed: a long number's
@@ -58,7 +60,8 @@ from typing import Callable
 from .errors import CertificateFormatError, DimensionError, ParseError
 from .monomial import ExponentVector, MonomialOrder, VariableSet, ev_make
 from .monomial import int_str as _str
-from .poly import Certificate, Coefficient, Polynomial, poly_from_terms, polys_from_runs
+from .poly import Certificate, Coefficient, Polynomial, check_coefficients, poly_from_terms
+from .poly import polys_from_runs
 
 # A term is a head (sign, integer, '/' denominator; each optional), then
 # factors joined by '*'.  Each pattern ends past trailing whitespace, so the
@@ -80,7 +83,9 @@ def _int(digits: str) -> int:
 
 
 def format_coeff(c: Coefficient) -> str:
-    """``str(c)`` for an integer or a fraction, exact at any length."""
+    """``str(c)`` for an integer or a fraction, exact at any length;
+    :func:`~polycert.poly.check_coefficients`' error for anything else."""
+    check_coefficients([c])
     if c.denominator == 1:
         return _str(c.numerator)
     return f"{_str(c.numerator)}/{_str(c.denominator)}"
@@ -168,14 +173,16 @@ def parse_poly(text: str, varset: VariableSet, order: MonomialOrder) -> Polynomi
 
     Wholly canonical text is read column by column, any other text by the
     general scan (:func:`_parse_texts`)."""
-    return _parse_texts([text], varset, order)[0]
+    return _parse_texts([text], varset, order)[0][0]
 
 
 def _parse_texts(
     texts: list[str], varset: VariableSet, order: MonomialOrder
-) -> list[Polynomial]:
+) -> tuple[list[Polynomial], tuple]:
     """The polynomial of each of `texts` (at least one), read in order, so
-    that the first fault raised is the first faulty text's.
+    that the first fault raised is the first faulty text's, and the keys
+    :func:`~polycert.poly.polys_from_runs` packed, ``(shift, keys, spans)``,
+    with one span per text (None for a text it did not take as it stands).
 
     ``findall`` reads a text a slice at a time, each cut before the sign of
     a `` + `` or `` - `` past ``_SLICE`` characters.  Its matches never
@@ -186,8 +193,10 @@ def _parse_texts(
     skips it.  Canonical texts' rows move into exponent and coefficient
     columns (:func:`_read_rows`) a few thousand at a time, so the term
     strings die early; :func:`~polycert.poly.polys_from_runs` makes their
-    polynomials.  Any other text is read by the general scan alone, through
-    :func:`~polycert.poly.poly_from_terms`; canonical text never raises."""
+    polynomials, packing their keys wide enough for a merge with the
+    general scan's.  Any other text is read by the general scan alone,
+    through :func:`~polycert.poly.poly_from_terms`; canonical text never
+    raises."""
     pattern, whole = _term_pattern(varset.names), itemgetter(0)
     exps_by_var: list[list[int]] = [[] for _ in varset.names]
     coeffs: list[Coefficient] = []
@@ -219,8 +228,11 @@ def _parse_texts(
             raise ParseError("empty polynomial text", 0)
         polys.append(poly_from_terms(order, _scan(text, varset)))
     _read_rows(rows, exps_by_var, coeffs, denominators)
-    canonical = iter(polys_from_runs(order, exps_by_var, coeffs, bounds))
-    return [next(canonical) if p is None else p for p in polys]
+    top = max((t.degrees.total for p in polys if p is not None for t in p.terms), default=0)
+    canonical, (shift, keys, runs) = polys_from_runs(order, exps_by_var, coeffs, bounds, top)
+    canonical, runs = iter(canonical), iter(runs)
+    spans = [next(runs) if p is None else None for p in polys]
+    return [next(canonical) if p is None else p for p in polys], (shift, keys, spans)
 
 
 def _read_rows(
@@ -298,11 +310,14 @@ def print_poly(p: Polynomial, varset: VariableSet) -> str:
     Each variable's factor text is looked up, in C, in a table of that
     variable's exponents (:func:`_factor_tables`), and each distinct
     denominator is printed once.  :class:`DimensionError` unless p's leading
-    term has ``len(varset)`` exponents."""
+    term has ``len(varset)`` exponents, and one pass of
+    :func:`~polycert.poly.check_coefficients` first (a float 1.0 must not
+    print as a bare monomial)."""
     if not p.terms:
         return "0"
     if (n := len(p.terms[0].degrees.exponents)) != len(varset):
         raise DimensionError(f"expected {len(varset)} exponents, got {n}")
+    check_coefficients([t.coeff for t in p.terms])
     tables, factor = _factor_tables(varset.names), dict.__getitem__
     denominators = cache(_str)  # for this call: denominators repeat across terms
     chunks = []  # one string per term, so the peak stays one object a term
@@ -367,19 +382,22 @@ def parse_certificate(text: str) -> Certificate:
     n = _int(n_text)
     if n < 1:
         raise CertificateFormatError(f"N must be >= 1, got {n}")
-    f, pairs = _parse_sections(sections, n, varset, order)
+    f, pairs, packed = _parse_sections(sections, n, varset, order)
     for label, i in indices.items():
         if not 1 <= i <= n:
             raise CertificateFormatError(f"section {label!r} outside 1..{n}")
         if label not in (f"lambda[{i}]", f"g[{i}]"):  # lambda[01] is not lambda[1]
             raise CertificateFormatError(f"section {label!r} is never read")
-    return Certificate(varset, order, f, tuple(pairs))
+    cert = Certificate(varset, order, f, tuple(pairs))
+    # not a field: equality, repr and dataclasses.replace ignore it
+    object.__setattr__(cert, "_packed", packed)
+    return cert
 
 
 def _parse_sections(
     sections: dict[str, str], n: int, varset: VariableSet, order: MonomialOrder
-) -> tuple[Polynomial, list[tuple[Polynomial, Polynomial]]]:
-    """f and the n (lambda, g) pairs, read in that order
+) -> tuple[Polynomial, list[tuple[Polynomial, Polynomial]], tuple]:
+    """f, the n (lambda, g) pairs and their packed keys, read in that order
     (:func:`_parse_texts`): the first fault raised is a malformed section
     before the first pair with a missing label, else that missing label."""
     labels, missing = ["f"], None
@@ -389,10 +407,10 @@ def _parse_sections(
         if missing:
             break
         labels += pair
-    polys = _parse_texts([sections[lb] for lb in labels], varset, order)
+    polys, packed = _parse_texts([sections[lb] for lb in labels], varset, order)
     if missing:
         raise CertificateFormatError(f"missing section {missing!r}")
-    return polys[0], list(zip(polys[1::2], polys[2::2]))
+    return polys[0], list(zip(polys[1::2], polys[2::2])), packed
 
 
 def format_certificate(cert: Certificate) -> str:
