@@ -3,11 +3,13 @@
 
 It builds the seeded ``verify`` pool through ``perfbench/gen.py`` in memory
 (reading nothing from disk and writing nothing under ``perfbench/``), takes
-its direct verify ops (those not run through the CLI), and times four
+its direct verify ops (those not run through the CLI), and times six
 phases, each as one pass over those ops:
 
 - ``parse_s``: ``parse_certificate`` of each distinct certificate text
 - ``setup_s``: the merge set-up of each op (``verifier._checked_sources``)
+- ``setup_max_s``, ``setup_min_s``: that set-up of every op max-first, or
+  every op min-first
 - ``verify_s``: the counted ``verify`` of each op
 - ``find_witness_s``: the uncounted ``find_witness`` of each op
 
@@ -62,9 +64,12 @@ def main() -> None:
         for text in texts.values():
             parse_certificate(text)
 
-    def setup():
-        for cert, direction in jobs:
-            _checked_sources(cert, direction is ScanDirection.MAX_FIRST, True)
+    def setup(descending=None):
+        def run():
+            for cert, direction in jobs:
+                scan = direction is ScanDirection.MAX_FIRST if descending is None else descending
+                _checked_sources(cert, scan, True)
+        return run
 
     def counted():
         for cert, direction in jobs:
@@ -74,8 +79,8 @@ def main() -> None:
         for cert, direction in jobs:
             find_witness(cert, direction)
 
-    phases = {"parse_s": parse, "setup_s": setup, "verify_s": counted,
-              "find_witness_s": uncounted}
+    phases = {"parse_s": parse, "setup_s": setup(), "setup_max_s": setup(True),
+              "setup_min_s": setup(False), "verify_s": counted, "find_witness_s": uncounted}
     best = dict.fromkeys(phases, float("inf"))
     for _ in range(args.repeat):
         for name, call in phases.items():

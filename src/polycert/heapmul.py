@@ -7,8 +7,8 @@ it yields the terms of sum_k a_k * b_k in scan order.  It is two steps:
 term's packed key from the package's one input check
 (:func:`~polycert.poly.checked_keys`: one order, one dimension, strict
 descent, int or Fraction coefficients), which packs them or takes the keys
-the parser packed, and :func:`merge_streams` runs the loop on them and
-checks nothing.  Each term a_k[i] seeds one stream
+a parsed polynomial keeps, and :func:`merge_streams` runs the loop on them
+and checks nothing.  Each term a_k[i] seeds one stream
 a_k[i] * b_k, walked by a cursor that holds its position in b_k, a_k[i]'s
 key, coefficient and monomial, and b_k's keys, coefficients and terms, so a
 step looks nothing up but its next key.  A cursor is keyed by the sum of the
@@ -132,7 +132,6 @@ def merge_sources(
     pairs: Iterable[tuple[Polynomial, Polynomial]],
     order: MonomialOrder,
     descending: bool = True,
-    packed: tuple | None = None,
 ) -> tuple[list[list], int | None]:
     """The set-up of :func:`merge_products`: one source per pair with no
     empty side, ``[a_k terms, b_k terms in scan order, their signed keys]``,
@@ -142,12 +141,10 @@ def merge_sources(
     Every polynomial of every pair, empty or not, passes
     :func:`~polycert.poly.checked_keys`, which packs each key negated when
     `descending`, so it rises along b_k's scan-order list, and along a_k's
-    max-first; min-first, a_k's keys fall.  `packed` hands it keys already
-    packed, with one span per polynomial in pair order (a_1, b_1, a_2, ...),
-    as the verifier hands over a parsed certificate's.  Counts nothing."""
+    max-first; min-first, a_k's keys fall.  Counts nothing."""
     pairs = list(pairs)
     polys = [p for pair in pairs for p in pair]
-    keys, fractions = poly.checked_keys(order, polys, 2, -1 if descending else 1, packed)
+    keys, fractions = poly.checked_keys(order, polys, 2, -1 if descending else 1)
     sources = [[a.terms, b.terms, ka, kb] if descending
                else [a.terms, b.terms[::-1], ka, kb[::-1]]
                for (a, b), ka, kb in zip(pairs, keys[::2], keys[1::2]) if a.terms and b.terms]

@@ -17,8 +17,8 @@ sorted; :func:`read_naive` is acceptance criterion 8's quadratic baseline).
 :func:`polys_from_runs` builds many polynomials from exponent and
 coefficient columns, packing each key once, at the width of a merge, and
 takes a run already in order as it stands, counted as that sort would count
-it; it returns the keys with the polynomials, and :func:`checked_keys` takes
-them instead of packing again.  A :class:`Certificate` pairs the cofactors
+it; such a polynomial keeps its keys, and :func:`checked_keys` takes them
+instead of packing again.  A :class:`Certificate` pairs the cofactors
 lambda_i with the f_i of f = sum_i lambda_i * f_i.
 """
 
@@ -73,8 +73,14 @@ def terms_unchecked(degrees: list[ExponentVector], coeffs: list[Coefficient]) ->
 
 @dataclass(frozen=True)
 class Polynomial:
+    """A polynomial that :func:`polys_from_runs` built as it stands also
+    keeps, outside its fields, ``(shift, keys)``: its terms' keys, packed at
+    `shift` for sums of two keys (:func:`checked_keys`); equality, repr and
+    :func:`dataclasses.replace` ignore them."""
+
     order: MonomialOrder
     terms: tuple[Term, ...]
+    _keys = None  # not a field: every other polynomial keeps no keys
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -82,10 +88,6 @@ class Polynomial:
 
 @dataclass(frozen=True)
 class Certificate:
-    """A parsed certificate also keeps, outside its fields, the keys its
-    parser packed (``_packed``), which the verifier hands to the merge;
-    equality, repr and :func:`dataclasses.replace` ignore them."""
-
     varset: VariableSet
     order: MonomialOrder
     f: Polynomial
@@ -120,21 +122,21 @@ def polys_from_runs(
     coeffs: list[Coefficient],
     bounds: list[int],
     top: int = 0,
-) -> tuple[list[Polynomial], tuple[int, list[int], list[slice | None]]]:
+) -> list[Polynomial]:
     """:func:`poly_from_terms` of each run of terms ``a:b`` between
     consecutive `bounds`, term i with exponents ``columns[v][i]`` (one
     column per variable, left empty once packed) and coefficient
-    ``coeffs[i]``, and the keys it packed: ``(shift, keys, spans)``.
+    ``coeffs[i]``.
 
     Every term is packed once, at the `shift` for sums of two keys of total
     degree up to `top` or any run's, so that a merge of these polynomials
     with others of total degree up to `top` takes their keys as they are
     (:func:`checked_keys`).  A run whose keys strictly decrease, with no
-    zero coefficient, is a polynomial as it stands, whose keys are
-    ``keys[span]`` for its span ``slice(a, b)``, tallied as the n-1
-    comparisons that ``poly_from_terms``' sort makes on it (a reversed sort
-    of a strictly decreasing list scans one ascending run); any other run
-    goes through ``poly_from_terms``, and its span is None."""
+    zero coefficient, is a polynomial as it stands, which keeps
+    ``(shift, keys[a:b])``, tallied as the n-1 comparisons that
+    ``poly_from_terms``' sort makes on it (a reversed sort of a strictly
+    decreasing list scans one ascending run); any other run goes through
+    ``poly_from_terms`` and keeps no keys."""
     exps = list(zip(*columns))
     totals = list(map(sum, exps))
     shift = (2 * max(top, max(totals, default=0))).bit_length()
@@ -144,17 +146,17 @@ def polys_from_runs(
     degrees = evs_unchecked(exps, totals)
     del exps, totals
     terms = terms_unchecked(degrees, coeffs)
-    polys, spans, comparisons = [], [], 0
+    polys, comparisons = [], 0
     for a, b in zip(bounds, bounds[1:]):
         if all(descending[a : b - 1]) and all(coeffs[a:b]):
-            polys.append(Polynomial(order, tuple(terms[a:b])))
-            spans.append(slice(a, b))
+            p = Polynomial(order, tuple(terms[a:b]))
+            object.__setattr__(p, "_keys", (shift, keys[a:b]))  # past frozen
             comparisons += b - a - 1
         else:
-            polys.append(poly_from_terms(order, zip(degrees[a:b], coeffs[a:b])))
-            spans.append(None)
+            p = poly_from_terms(order, zip(degrees[a:b], coeffs[a:b]))
+        polys.append(p)
     tally(comparisons=comparisons)
-    return polys, (shift, keys, spans)
+    return polys
 
 
 def read_sorted(
@@ -180,38 +182,38 @@ def read_naive(
 
 
 def checked_keys(
-    order: MonomialOrder, polys: list[Polynomial], summands: int = 1, sign: int = 1,
-    packed: tuple[int, list[int], list[slice | None]] | None = None,
+    order: MonomialOrder, polys: list[Polynomial], summands: int = 1, sign: int = 1
 ) -> tuple[list[list[int]], bool]:
     """Each of `polys`' term keys, packed by one :func:`key_packer` for sums
-    of `summands` keys and times `sign`, and whether any coefficient is a
-    Fraction.  Raises :class:`OrderMismatchError` unless each is in `order`,
-    :class:`DimensionError` unless all have one dimension, :class:`FormatError`
-    unless each strictly decreases, and :func:`check_coefficients`' error.
-    Zero coefficients pass; counts nothing.
+    of `summands` (one or two) keys and times `sign`, and whether any
+    coefficient is a Fraction.  Raises :class:`OrderMismatchError` unless
+    each is in `order`, :class:`DimensionError` unless all have one
+    dimension, :class:`FormatError` unless each strictly decreases, and
+    :func:`check_coefficients`' error.  Zero coefficients pass; counts
+    nothing.
 
-    `packed`, ``(shift, keys, spans)`` with one span per polynomial, hands
-    over keys packed at `shift` for sums of `summands` keys, as
-    :func:`polys_from_runs` packs them: a polynomial whose span is a slice
-    takes ``keys[span]``, negated when `sign` is -1, and those whose span is
-    None are packed at `shift`, when their totals fit it; else every key is
-    packed here.  Only a handed polynomial's first monomial joins the
+    The polynomials that keep keys (:func:`polys_from_runs`) at the widest
+    kept shift give them as they are, negated when `sign` is -1, and the
+    others are packed at that shift, when their totals fit it; else every
+    key is packed here.  Only a kept polynomial's first monomial joins the
     dimension check; its order, descent and coefficients are checked in
     full."""
     for p in polys:
         if p.order is not order:
             raise OrderMismatchError(f"{p.order} vs {order}")
-    shift, handed, spans = packed or (0, [], [None] * len(polys))
-    evs = [t.degrees for p, span in zip(polys, spans) if span is None for t in p.terms]
-    evs += [p.terms[0].degrees for p, span in zip(polys, spans) if span]
-    if packed and (summands * max((ev.total for ev in evs), default=0)).bit_length() > shift:
-        shift, handed, spans = 0, [], [None] * len(polys)  # too narrow: pack all
-        evs = [t.degrees for p in polys for t in p.terms]
-    pack = key_packer(order, evs, summands, sign, shift)
+    held = [p._keys for p in polys]
+    shift = max((k[0] for k in held if k), default=None)
+    kept = [k[1] if k and k[0] == shift else None for k in held]
+    evs = [t.degrees for p, k in zip(polys, kept) if k is None for t in p.terms]
+    if shift is not None:  # the others take the kept shift, if they fit it
+        evs += [p.terms[0].degrees for p, k in zip(polys, kept) if k is not None]
+        if (summands * max(ev.total for ev in evs)).bit_length() > shift:
+            shift, kept = 0, [None] * len(polys)  # too narrow: pack all
+            evs = [t.degrees for p in polys for t in p.terms]
+    pack = key_packer(order, evs, summands, sign, shift or 0)
     if sign < 0:
-        handed = list(map(neg, handed))
-    keys = [handed[span] if span else [pack(t.degrees) for t in p.terms]
-            for p, span in zip(polys, spans)]
+        kept = [k and list(map(neg, k)) for k in kept]
+    keys = [[pack(t.degrees) for t in p.terms] if k is None else k for p, k in zip(polys, kept)]
     if not all(all(map(gt if sign > 0 else lt, k, k[1:])) for k in keys):
         raise FormatError("terms not strictly decreasing")
     return keys, check_coefficients([t.coeff for p in polys for t in p.terms])

@@ -33,15 +33,14 @@ terms as it stands and sends other canonical text through
 :func:`~polycert.poly.poly_from_terms`.
 :func:`parse_certificate` reads all of a certificate's sections in one such
 batch: its canonical sections are built together, each other section is read
-by the general scan on its own, in section order.  The batch's keys are
-packed once, wide enough for the merge of the whole certificate, which keeps
-them for the verifier's merge set-up.  The general scan (term head, factor,
-'*' patterns) accepts the whole grammar and is the only source of
-:class:`ParseError`, each with a position.  Coefficients are exact at any
-length: digit strings and integers beyond the interpreter's int-string digit
-limit are converted in pieces, without changing the limit.  Each distinct
-denominator is converted once per call, read or printed: a long number's
-conversion is quadratic in its length.
+by the general scan on its own, in section order, and the batch's keys are
+packed wide enough for the merge of the whole certificate.  The general scan
+(term head, factor, '*' patterns) accepts the whole grammar and is the only
+source of :class:`ParseError`, each with a position.  Coefficients are exact
+at any length: digit strings and integers beyond the interpreter's
+int-string digit limit are converted in pieces, without changing the limit.
+Each distinct denominator is converted once per call, read or printed: a
+long number's conversion is quadratic in its length.
 
 :func:`print_poly` looks each exponent's factor text up in a per-variable
 :class:`_Table` (:func:`_factor_tables`, cached per variable set) and joins a
@@ -173,16 +172,12 @@ def parse_poly(text: str, varset: VariableSet, order: MonomialOrder) -> Polynomi
 
     Wholly canonical text is read column by column, any other text by the
     general scan (:func:`_parse_texts`)."""
-    return _parse_texts([text], varset, order)[0][0]
+    return _parse_texts([text], varset, order)[0]
 
 
-def _parse_texts(
-    texts: list[str], varset: VariableSet, order: MonomialOrder
-) -> tuple[list[Polynomial], tuple]:
+def _parse_texts(texts: list[str], varset: VariableSet, order: MonomialOrder) -> list[Polynomial]:
     """The polynomial of each of `texts` (at least one), read in order, so
-    that the first fault raised is the first faulty text's, and the keys
-    :func:`~polycert.poly.polys_from_runs` packed, ``(shift, keys, spans)``,
-    with one span per text (None for a text it did not take as it stands).
+    that the first fault raised is the first faulty text's.
 
     ``findall`` reads a text a slice at a time, each cut before the sign of
     a `` + `` or `` - `` past ``_SLICE`` characters.  Its matches never
@@ -229,10 +224,8 @@ def _parse_texts(
         polys.append(poly_from_terms(order, _scan(text, varset)))
     _read_rows(rows, exps_by_var, coeffs, denominators)
     top = max((t.degrees.total for p in polys if p is not None for t in p.terms), default=0)
-    canonical, (shift, keys, runs) = polys_from_runs(order, exps_by_var, coeffs, bounds, top)
-    canonical, runs = iter(canonical), iter(runs)
-    spans = [next(runs) if p is None else None for p in polys]
-    return [next(canonical) if p is None else p for p in polys], (shift, keys, spans)
+    canonical = iter(polys_from_runs(order, exps_by_var, coeffs, bounds, top))
+    return [next(canonical) if p is None else p for p in polys]
 
 
 def _read_rows(
@@ -305,7 +298,9 @@ def _factor_tables(names: tuple[str, ...]) -> tuple[_Table, ...]:
 
 
 def print_poly(p: Polynomial, varset: VariableSet) -> str:
-    """Canonical descending text; reparses to an equal polynomial.
+    """Canonical descending text.  A polynomial with no zero coefficient
+    reparses to an equal one; a zero term prints as ``0*…``, which the
+    parser drops.
 
     Each variable's factor text is looked up, in C, in a table of that
     variable's exponents (:func:`_factor_tables`), and each distinct
@@ -382,22 +377,19 @@ def parse_certificate(text: str) -> Certificate:
     n = _int(n_text)
     if n < 1:
         raise CertificateFormatError(f"N must be >= 1, got {n}")
-    f, pairs, packed = _parse_sections(sections, n, varset, order)
+    f, pairs = _parse_sections(sections, n, varset, order)
     for label, i in indices.items():
         if not 1 <= i <= n:
             raise CertificateFormatError(f"section {label!r} outside 1..{n}")
         if label not in (f"lambda[{i}]", f"g[{i}]"):  # lambda[01] is not lambda[1]
             raise CertificateFormatError(f"section {label!r} is never read")
-    cert = Certificate(varset, order, f, tuple(pairs))
-    # not a field: equality, repr and dataclasses.replace ignore it
-    object.__setattr__(cert, "_packed", packed)
-    return cert
+    return Certificate(varset, order, f, tuple(pairs))
 
 
 def _parse_sections(
     sections: dict[str, str], n: int, varset: VariableSet, order: MonomialOrder
-) -> tuple[Polynomial, list[tuple[Polynomial, Polynomial]], tuple]:
-    """f, the n (lambda, g) pairs and their packed keys, read in that order
+) -> tuple[Polynomial, list[tuple[Polynomial, Polynomial]]]:
+    """f and the n (lambda, g) pairs, read in that order
     (:func:`_parse_texts`): the first fault raised is a malformed section
     before the first pair with a missing label, else that missing label."""
     labels, missing = ["f"], None
@@ -407,10 +399,10 @@ def _parse_sections(
         if missing:
             break
         labels += pair
-    polys, packed = _parse_texts([sections[lb] for lb in labels], varset, order)
+    polys = _parse_texts([sections[lb] for lb in labels], varset, order)
     if missing:
         raise CertificateFormatError(f"missing section {missing!r}")
-    return polys[0], list(zip(polys[1::2], polys[2::2])), packed
+    return polys[0], list(zip(polys[1::2], polys[2::2]))
 
 
 def format_certificate(cert: Certificate) -> str:

@@ -16,8 +16,8 @@ finds an error faster when the discrepancy sits at the small end.
 A certificate is checked by the merge's set-up
 (:func:`~polycert.heapmul.merge_sources`), which checks every polynomial it
 is given, streamed or not: one order, one dimension, strictly decreasing
-terms.  A certificate that :func:`~polycert.textio.parse_certificate` made
-hands the set-up the keys its parser packed, and no term is packed again.
+terms.  A polynomial that :func:`~polycert.textio.parse_certificate` read
+as it stands keeps the keys its parser packed, and the set-up takes them.
 The verifier keeps only the certificate rules: at least one pair, and a
 dimension of ``len(varset)``.  A malformed certificate raises
 :class:`CertificateFormatError`; :func:`verify`, :func:`combine` and
@@ -73,8 +73,7 @@ def _checked_sources(
 
     The constant -1 is always given, so the dimension must be ``len(varset)``;
     unless `residual`, f is given beside an empty factor, checked but not
-    streamed.  A parsed certificate hands the merge the keys its parser
-    packed, laid out as the pairs are.  The set-up's errors become
+    streamed.  The set-up's errors become
     :class:`CertificateFormatError`, except a coefficient outside the
     domain (``DomainError``).
     """
@@ -84,14 +83,8 @@ def _checked_sources(
     minus_one = Polynomial(cert.order, (Term(ev_make((0,) * len(cert.varset)), -1),))
     pairs = [(f_i, lam_i) for lam_i, f_i in cert.pairs]
     pairs += [(minus_one, cert.f)] if residual else [(minus_one, zero), (cert.f, zero)]
-    packed = vars(cert).get("_packed")  # parse_certificate's keys, if it made cert
-    if packed is not None:  # spans of f, lambda_1, g_1, ...: laid out as pairs are
-        shift, keys, (f_span, *spans) = packed
-        spans[::2], spans[1::2] = spans[1::2], spans[::2]
-        spans += [None, f_span] if residual else [None, None, f_span, None]
-        packed = shift, keys, spans
     try:
-        return merge_sources(pairs, cert.order, descending, packed)
+        return merge_sources(pairs, cert.order, descending)
     except OrderMismatchError:
         raise CertificateFormatError("mixed monomial orders in certificate") from None
     except DimensionError:

@@ -1,12 +1,15 @@
-"""A parsed certificate hands the keys its parser packed to the merge set-up.
+"""Each parsed polynomial keeps its packed keys, and every kernel takes them.
 
-``parse_certificate`` packs each canonical section's keys once, at the width
-the merge uses, and keeps them with the certificate, outside its fields; the
-set-up (``verifier._checked_sources``) takes them instead of packing again.
+``parse_certificate`` and ``parse_poly`` pack each canonical term's key once,
+at the width a merge uses, and each polynomial taken as it stands keeps its
+own, outside its fields; ``poly.checked_keys``, the input check of every
+kernel and of the merge set-up, takes them instead of packing again.
 Whatever else a certificate holds (a replaced polynomial, polynomials of two
 parses, a hand-spaced section, a Fraction in one section), ``verify``,
 ``find_witness`` and ``combine`` give the verdict, witness, result and
-counters of the same certificate built by hand.
+counters of the same certificate built by hand; ``add`` and ``mul_heap`` of
+two parses give the terms and counters of hand-built copies; and no kernel
+changes a kept key.
 """
 
 import dataclasses
@@ -25,8 +28,10 @@ from polycert import (
     add,
     combine,
     count_ops,
+    ev_make,
     find_witness,
     format_certificate,
+    mul_heap,
     mul_naive,
     parse_certificate,
     parse_poly,
@@ -34,6 +39,7 @@ from polycert import (
     zero,
 )
 from polycert import poly, textio
+from polycert.heapmul import merge_sources
 from polycert.verifier import _checked_sources
 
 from conftest import ORDERS, random_poly
@@ -41,11 +47,13 @@ from conftest import ORDERS, random_poly
 VARS = VariableSet(("x", "y", "z"))
 
 
+def rebuilt(p):
+    """`p` rebuilt from fresh terms: a polynomial no parser made."""
+    return Polynomial(p.order, tuple(Term(t.degrees, t.coeff) for t in p.terms))
+
+
 def by_hand(cert):
     """`cert` rebuilt from fresh terms: a certificate no parser made."""
-    def rebuilt(p):
-        return Polynomial(p.order, tuple(Term(t.degrees, t.coeff) for t in p.terms))
-
     pairs = tuple((rebuilt(lam), rebuilt(g)) for lam, g in cert.pairs)
     return Certificate(cert.varset, cert.order, rebuilt(cert.f), pairs)
 
@@ -146,9 +154,11 @@ def test_replaced_polynomial_gives_what_a_hand_built_certificate_gives(monkeypat
     f = parsed(other).f if source == "another parse" else other.f
     replaced = dataclasses.replace(cert, f=f)
     assert outcomes(replaced) == outcomes(by_hand(replaced))
-    # a replaced certificate carries no keys: every term is packed again
+    # an f from another parse keeps its wider keys, so only the pairs' terms
+    # and the -1 are packed; one built by hand has none: every term is packed
     packed = packed_monomials(monkeypatch, lambda: find_witness(replaced))
-    assert len(packed) == terms_of(replaced) + 1
+    kept = len(f.terms) if source == "another parse" else 0
+    assert len(packed) == terms_of(replaced) - kept + 1
     assert outcomes(dataclasses.replace(cert)) == outcomes(cert)
 
 
@@ -211,11 +221,51 @@ def test_fraction_in_one_section_keeps_an_all_int_merge_int():
 
 @pytest.mark.parametrize("sign", [1, -1])
 def test_loose_polynomial_takes_the_handed_width_or_everything_is_repacked(sign):
-    # x*z + 1 fits the handed shift; x^40*y + z does not, so all are packed anew
+    # parsed, x*z + 1 is packed at the batch's wider shift, and x^40*y + z
+    # keeps the widest, at which the batch is packed; built by hand, x*z + 1
+    # fits the batch's shift, and x^40*y + z does not, so all are packed anew
     order = ORDERS[1]
-    polys, (shift, keys, spans) = textio._parse_texts(
-        ["x^2*y + 3*z", "y^3 - 1", "2*x + z"], VARS, order)
+    polys = textio._parse_texts(["x^2*y + 3*z", "y^3 - 1", "2*x + z"], VARS, order)
     for text in ("x*z + 1", "x^40*y + z"):
-        given = polys + [parse_poly(text, VARS, order)]
-        handed = poly.checked_keys(order, given, 2, sign, (shift, keys, spans + [None]))
-        assert handed == poly.checked_keys(order, given, 2, sign)
+        loose = parse_poly(text, VARS, order)
+        for given in (polys + [loose], polys + [rebuilt(loose)]):
+            handed = poly.checked_keys(order, given, 2, sign)
+            assert handed == poly.checked_keys(order, list(map(rebuilt, given)), 2, sign)
+
+
+def kernel_outcome(kernel, p, q):
+    """`kernel`'s terms and counters on p and q."""
+    with count_ops() as counters:
+        result = kernel(p, q)
+    return [(t.degrees, t.coeff, type(t.coeff)) for t in result.terms], astuple(counters)
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_kernels_of_two_parses_at_one_width_pack_no_key(monkeypatch, order):
+    # a shared total-12 term gives both parses one shift, so neither is repacked
+    rng, top = random.Random(str(order)), Polynomial(order, (Term(ev_make((4, 4, 4)), 1),))
+    for _ in range(10):
+        p, q = (parse_poly(textio.print_poly(add(top, random_poly(rng, order, 6, 3, 3, r)),
+                                             VARS), VARS, order) for r in (False, True))
+        assert p._keys[0] == q._keys[0]
+        for kernel in (add, mul_heap):
+            assert packed_monomials(monkeypatch, lambda: kernel(p, q)) == []
+            assert kernel_outcome(kernel, p, q) == kernel_outcome(kernel, rebuilt(p), rebuilt(q))
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_kernels_leave_the_kept_keys_as_they_were(order):
+    cert = parsed(random_cert(random.Random(str(order)), order, corrupt=True))
+    polys = [cert.f] + [p for pair in cert.pairs for p in pair]
+    kept = [(p._keys[0], list(p._keys[1])) for p in polys]
+    for direction in ScanDirection:
+        verify(cert, direction)
+        find_witness(cert, direction)
+    combine(cert)
+    (lam, g), f = cert.pairs[0], cert.f
+    add(f, g)
+    mul_heap(lam, g)
+    assert [(p._keys[0], p._keys[1]) for p in polys] == kept
+    # min-first, a streamed side's kept list is the merge's key list itself
+    (source,), _ = merge_sources([(g, lam)], order, descending=False)
+    assert source[2] is g._keys[1]

@@ -69,6 +69,24 @@ def test_only_poly_packs_monomial_keys():
     assert users == {"poly"}
 
 
+def _names(path):
+    """Every identifier, attribute and string constant a package module names."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_only_poly_names_the_kept_keys():
+    # a parsed polynomial's keys are poly's business: no other module hands them on
+    users = {path.stem for path in SRC.glob("*.py") if "_keys" in set(_names(path))}
+    assert users == {"poly"}
+    assert not [path.stem for path in SRC.glob("*.py") if "_packed" in set(_names(path))]
+
+
 def test_the_public_names_stay_the_same():
     # a name moved between modules stays exported from the package
     assert sorted(polycert.__all__) == [

@@ -5,6 +5,8 @@ import pytest
 from polycert import (
     Certificate,
     MonomialOrder,
+    Polynomial,
+    Term,
     VariableSet,
     count_ops,
     ev_make,
@@ -68,6 +70,19 @@ def test_print_parse_round_trip(rng):
         order = rng.choice(ORDERS)
         p = random_poly(rng, order, rng.randrange(0, 10), rational=rng.random() < 0.5)
         assert parse_poly(print_poly(p, vs), vs, order) == p
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_zero_terms_print_and_reparse_without_them(rng, order):
+    # the parser drops a printed 0*... term, and only those
+    vs = VariableSet(("x", "y", "z"))
+    for _ in range(40):
+        p = random_poly(rng, order, rng.randrange(1, 8), rational=rng.random() < 0.5)
+        zeroed = [k for k in range(len(p.terms)) if rng.random() < 0.4]
+        terms = tuple(Term(t.degrees, 0) if k in zeroed else t for k, t in enumerate(p.terms))
+        with_zeros = Polynomial(order, terms)
+        without = Polynomial(order, tuple(t for t in terms if t.coeff != 0))
+        assert parse_poly(print_poly(with_zeros, vs), vs, order) == without
 
 
 def test_print_canonical_forms():
@@ -486,7 +501,6 @@ def test_mutated_text_reads_as_the_general_scan_alone_reads_it(drawn, data):
 
 from hypothesis import example  # noqa: E402
 
-from polycert import Polynomial, Term  # noqa: E402
 from polycert.textio import _str, format_coeff  # noqa: E402
 
 
