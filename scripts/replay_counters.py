@@ -17,12 +17,13 @@ field.  Each ``verify`` record is also checked against an unscoped
 ``find_witness`` call, which must return the same witness.  Each ``verify``
 and ``combine`` record is checked against the same call on its certificate
 written by ``format_certificate`` and read back by ``parse_certificate``,
-which must give an equal output and the same counters.  The text cannot
-hold a zero term of f, so where f has one, the reference is the call on the
-certificate without it.  A mismatch stops the script with an
-``AssertionError``.  The script prints the record count
-and the SHA-256 digest of all records, so two checkouts that print the same
-line agree on every output and every counter:
+and on that text spaced by hand (``"  +  "`` for ``" + "``, ``" * "`` for
+``"*"``, so that the general scan reads it), which must each give an equal
+output and the same counters.  The text cannot hold a zero term of f, so
+where f has one, the reference is the call on the certificate without it.
+A mismatch stops the script with an ``AssertionError``.  The script prints
+the record count and the SHA-256 digest of all records, so two checkouts
+that print the same line agree on every output and every counter:
 
     python3 scripts/replay_counters.py [--seeds N]
 
@@ -111,12 +112,15 @@ def replay(seed: int):
 
     def parsed_alike(record, cert, call):
         """`record`, of ``call(cert)``, once `call` on `cert` read back from
-        its text gives an equal output and the same counters."""
-        back = parse_certificate(format_certificate(cert))
+        its text, and from that text spaced by hand, gives an equal output
+        and the same counters."""
+        text = format_certificate(cert)
         plain = replace(cert, f=Polynomial(order, tuple(t for t in cert.f.terms if t.coeff)))
         expected = record if plain == cert else scoped(record[0], lambda: call(plain))
-        if back != plain or scoped(record[0], lambda: call(back))[1:] != expected[1:]:
-            raise AssertionError(f"seed {seed}: the parsed certificate differs on {record[0]}")
+        for spaced in (text, text.replace(" + ", "  +  ").replace("*", " * ")):
+            back = parse_certificate(spaced)
+            if back != plain or scoped(record[0], lambda: call(back))[1:] != expected[1:]:
+                raise AssertionError(f"seed {seed}: the parsed certificate differs on {record[0]}")
         return record
 
     raw = random_terms(rng, nvars, rng.randint(0, 40), max_exp, rational)

@@ -23,7 +23,7 @@ C heapq's comparisons and counts each one.  That count and the others
 (extractions, products, sums) are tallied at the end, and before each
 yielded term only while a scope was open at the last resume, so an unscoped
 merge makes one :func:`tally` call.  heapq pops the least key, so max-first
-scans pack negated keys and min-first scans read each b_k backwards.
+scans negate their keys and min-first scans read each b_k backwards.
 
 Rationals are merged on integers, as FLINT's ``fmpq_poly`` stores a rational
 polynomial over one denominator.  When any coefficient is a Fraction, the
@@ -46,7 +46,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heappop, heappush, heapreplace
 from math import lcm
-from operator import add
+from operator import add, neg
 from typing import Iterable, Iterator
 
 from . import poly
@@ -139,13 +139,15 @@ def merge_sources(
     or None when the coefficients are as given.
 
     Every polynomial of every pair, empty or not, passes
-    :func:`~polycert.poly.checked_keys`, which packs each key negated when
-    `descending`, so it rises along b_k's scan-order list, and along a_k's
-    max-first; min-first, a_k's keys fall.  Counts nothing."""
+    :func:`~polycert.poly.checked_keys`, whose keys order as the monomial
+    order.  heapq pops the least key, so here alone a max-first scan negates
+    each streamed key list once; then a key rises along b_k's scan-order
+    list, and along a_k's max-first; min-first, a_k's keys fall.  Counts
+    nothing."""
     pairs = list(pairs)
     polys = [p for pair in pairs for p in pair]
-    keys, fractions = poly.checked_keys(order, polys, 2, -1 if descending else 1)
-    sources = [[a.terms, b.terms, ka, kb] if descending
+    keys, fractions = poly.checked_keys(order, polys, 2)
+    sources = [[a.terms, b.terms, list(map(neg, ka)), list(map(neg, kb))] if descending
                else [a.terms, b.terms[::-1], ka, kb[::-1]]
                for (a, b), ka, kb in zip(pairs, keys[::2], keys[1::2]) if a.terms and b.terms]
     # a merge with a Fraction runs on integer numerators over one denominator

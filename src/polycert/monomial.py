@@ -50,21 +50,21 @@ class MonomialOrder(Enum):
 
 
 def key_packer(order: MonomialOrder, evs: list[ExponentVector], summands: int = 1,
-               sign: int = 1, shift: int = 0):
-    """Pack `sign` (1 or -1) times :meth:`MonomialOrder.key` of any of `evs`
-    into one int, in base B = 2^s above any digit of a sum of `summands`
-    keys (no digit exceeds a total), or at s = `shift` when that is wider.
-    A key's digits after the first share one sign, so lower digits never
-    outweigh a higher one: int ``<`` orders as `sign` times the order, and
-    int ``+`` of packed keys packs the monomial product.
+               shift: int = 0):
+    """Pack :meth:`MonomialOrder.key` of any of `evs` into one int, in base
+    B = 2^s above any digit of a sum of `summands` keys (no digit exceeds a
+    total), or at s = `shift` when that is wider.  A key's digits after the
+    first share one sign, so lower digits never outweigh a higher one: int
+    ``<`` orders as the order, and int ``+`` of packed keys packs the
+    monomial product.
 
     The key is linear in the exponents, so the packed int is their dot
     product with one weight per variable (:func:`_weights`, cached per
-    order, length and base) times `sign`."""
+    order, length and base)."""
     if len({len(ev.exponents) for ev in evs}) > 1:
         raise DimensionError("exponent vectors of mixed lengths")
     shift = max(shift, (summands * max((ev.total for ev in evs), default=0)).bit_length())
-    weights = [sign * w for w in _weights(order, len(evs[0].exponents) if evs else 0, shift)]
+    weights = _weights(order, len(evs[0].exponents) if evs else 0, shift)
 
     def pack(ev: ExponentVector) -> int:
         return sum(map(mul, ev.exponents, weights))

@@ -15,11 +15,12 @@ most m+n-1 comparisons, tallied once.
 :func:`read_sorted` does a stream without zeros (n-1 comparisons when it is
 sorted; :func:`read_naive` is acceptance criterion 8's quadratic baseline).
 :func:`polys_from_runs` builds many polynomials from exponent and
-coefficient columns, packing each key once, at the width of a merge, and
-takes a run already in order as it stands, counted as that sort would count
-it; such a polynomial keeps its keys, and :func:`checked_keys` takes them
-instead of packing again.  A :class:`Certificate` pairs the cofactors
-lambda_i with the f_i of f = sum_i lambda_i * f_i.
+coefficient columns, packing each key once, at the width of a merge of all
+of them, and takes a run already in order as it stands, counted as that sort
+would count it; such a polynomial keeps its keys, and :func:`checked_keys`
+takes them instead of packing again.  Keys always order as the monomial
+order; a max-first merge negates its own copy.  A :class:`Certificate`
+pairs the cofactors lambda_i with the f_i of f = sum_i lambda_i * f_i.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat, starmap
-from operator import gt, lt, neg
+from operator import gt
 from typing import Iterable, Union
 
 from .counters import key_factory, tally
@@ -121,7 +122,6 @@ def polys_from_runs(
     columns: list[list[int]],
     coeffs: list[Coefficient],
     bounds: list[int],
-    top: int = 0,
 ) -> list[Polynomial]:
     """:func:`poly_from_terms` of each run of terms ``a:b`` between
     consecutive `bounds`, term i with exponents ``columns[v][i]`` (one
@@ -129,8 +129,8 @@ def polys_from_runs(
     ``coeffs[i]``.
 
     Every term is packed once, at the `shift` for sums of two keys of total
-    degree up to `top` or any run's, so that a merge of these polynomials
-    with others of total degree up to `top` takes their keys as they are
+    degree up to any run's, so that a merge of these polynomials, and of
+    others whose totals fit that shift, takes their keys as they are
     (:func:`checked_keys`).  A run whose keys strictly decrease, with no
     zero coefficient, is a polynomial as it stands, which keeps
     ``(shift, keys[a:b])``, tallied as the n-1 comparisons that
@@ -139,7 +139,7 @@ def polys_from_runs(
     ``poly_from_terms`` and keeps no keys."""
     exps = list(zip(*columns))
     totals = list(map(sum, exps))
-    shift = (2 * max(top, max(totals, default=0))).bit_length()
+    shift = (2 * max(totals, default=0)).bit_length()
     keys = pack_columns(order, columns, shift)
     columns.clear()
     descending = list(map(gt, keys, islice(keys, 1, None)))
@@ -182,10 +182,10 @@ def read_naive(
 
 
 def checked_keys(
-    order: MonomialOrder, polys: list[Polynomial], summands: int = 1, sign: int = 1
+    order: MonomialOrder, polys: list[Polynomial], summands: int = 1
 ) -> tuple[list[list[int]], bool]:
     """Each of `polys`' term keys, packed by one :func:`key_packer` for sums
-    of `summands` (one or two) keys and times `sign`, and whether any
+    of `summands` (one or two) keys, in the monomial order, and whether any
     coefficient is a Fraction.  Raises :class:`OrderMismatchError` unless
     each is in `order`, :class:`DimensionError` unless all have one
     dimension, :class:`FormatError` unless each strictly decreases, and
@@ -193,11 +193,10 @@ def checked_keys(
     nothing.
 
     The polynomials that keep keys (:func:`polys_from_runs`) at the widest
-    kept shift give them as they are, negated when `sign` is -1, and the
-    others are packed at that shift, when their totals fit it; else every
-    key is packed here.  Only a kept polynomial's first monomial joins the
-    dimension check; its order, descent and coefficients are checked in
-    full."""
+    kept shift give them as they are, and the others are packed at that
+    shift, when their totals fit it; else every key is packed here.  Only a
+    kept polynomial's first monomial joins the dimension check; its order,
+    descent and coefficients are checked in full."""
     for p in polys:
         if p.order is not order:
             raise OrderMismatchError(f"{p.order} vs {order}")
@@ -210,11 +209,9 @@ def checked_keys(
         if (summands * max(ev.total for ev in evs)).bit_length() > shift:
             shift, kept = 0, [None] * len(polys)  # too narrow: pack all
             evs = [t.degrees for p in polys for t in p.terms]
-    pack = key_packer(order, evs, summands, sign, shift or 0)
-    if sign < 0:
-        kept = [k and list(map(neg, k)) for k in kept]
+    pack = key_packer(order, evs, summands, shift or 0)
     keys = [[pack(t.degrees) for t in p.terms] if k is None else k for p, k in zip(polys, kept)]
-    if not all(all(map(gt if sign > 0 else lt, k, k[1:])) for k in keys):
+    if not all(all(map(gt, k, k[1:])) for k in keys):
         raise FormatError("terms not strictly decreasing")
     return keys, check_coefficients([t.coeff for p in polys for t in p.terms])
 

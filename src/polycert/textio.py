@@ -27,14 +27,13 @@ label.
 scan reads it all.  Canonical text is a run of terms as :func:`print_poly`
 writes them, each one match of a pattern compiled once per variable set;
 ``findall`` takes them a slice at a time, and their exponent and
-coefficient columns are built in C (each looked up in a :class:`_Table`);
-:func:`~polycert.poly.polys_from_runs` takes text in order without zero
-terms as it stands and sends other canonical text through
-:func:`~polycert.poly.poly_from_terms`.
-:func:`parse_certificate` reads all of a certificate's sections in one such
-batch: its canonical sections are built together, each other section is read
-by the general scan on its own, in section order, and the batch's keys are
-packed wide enough for the merge of the whole certificate.  The general scan
+coefficient columns are built in C (each looked up in a :class:`_Table`).
+The general scan's terms join the same columns, so each text is one run of
+them, and :func:`~polycert.poly.polys_from_runs` takes a run in order
+without zero terms as it stands and sorts any other.
+:func:`parse_certificate` reads all of a certificate's sections, in section
+order, as runs of one such batch, whose keys are packed wide enough for the
+merge of the whole certificate.  The general scan
 (term head, factor, '*' patterns) accepts the whole grammar and is the only
 source of :class:`ParseError`, each with a position.  Coefficients are exact
 at any length: digit strings and integers beyond the interpreter's
@@ -59,8 +58,7 @@ from typing import Callable
 from .errors import CertificateFormatError, DimensionError, ParseError
 from .monomial import ExponentVector, MonomialOrder, VariableSet, ev_make
 from .monomial import int_str as _str
-from .poly import Certificate, Coefficient, Polynomial, check_coefficients, poly_from_terms
-from .poly import polys_from_runs
+from .poly import Certificate, Coefficient, Polynomial, check_coefficients, polys_from_runs
 
 # A term is a head (sign, integer, '/' denominator; each optional), then
 # factors joined by '*'.  Each pattern ends past trailing whitespace, so the
@@ -187,18 +185,17 @@ def _parse_texts(texts: list[str], varset: VariableSet, order: MonomialOrder) ->
     A slice with no match at its start, where ``findall`` tries first,
     skips it.  Canonical texts' rows move into exponent and coefficient
     columns (:func:`_read_rows`) a few thousand at a time, so the term
-    strings die early; :func:`~polycert.poly.polys_from_runs` makes their
-    polynomials, packing their keys wide enough for a merge with the
-    general scan's.  Any other text is read by the general scan alone,
-    through :func:`~polycert.poly.poly_from_terms`; canonical text never
-    raises."""
+    strings die early.  Any other text is read by the general scan alone,
+    once the terms of its canonical first slices are dropped, and its terms
+    join the same columns; canonical text never raises.  Each text is one
+    run of the columns, and :func:`~polycert.poly.polys_from_runs` makes
+    every polynomial, packing their keys at one width."""
     pattern, whole = _term_pattern(varset.names), itemgetter(0)
     exps_by_var: list[list[int]] = [[] for _ in varset.names]
     coeffs: list[Coefficient] = []
     rows: list[tuple[str, ...]] = []
     denominators = cache(_int)  # for this call: denominators repeat across terms
     bounds = [0]
-    polys: list[Polynomial | None] = []  # None: canonical, built below
     for text in texts:
         start = 0
         while start < len(text):  # one findall per slice, cut at a sign
@@ -211,21 +208,19 @@ def _parse_texts(texts: list[str], varset: VariableSet, order: MonomialOrder) ->
             if len(rows) >= _ROWS:
                 _read_rows(rows, exps_by_var, coeffs, denominators)
             start += len(piece)
-        if text and start == len(text):
-            bounds.append(len(coeffs) + len(rows))
-            polys.append(None)
-            continue
-        if start:  # not canonical after all: drop the terms of its first slices
+        if not text or start < len(text):  # not canonical: drop any first slices' terms
             _read_rows(rows, exps_by_var, coeffs, denominators)
             for column in (coeffs, *exps_by_var):
                 del column[bounds[-1] :]
-        if not text.strip():
-            raise ParseError("empty polynomial text", 0)
-        polys.append(poly_from_terms(order, _scan(text, varset)))
+            if not text.strip():
+                raise ParseError("empty polynomial text", 0)
+            degrees, scanned = zip(*_scan(text, varset))
+            coeffs += scanned
+            for exps, column in zip(exps_by_var, zip(*(ev.exponents for ev in degrees))):
+                exps += column
+        bounds.append(len(coeffs) + len(rows))
     _read_rows(rows, exps_by_var, coeffs, denominators)
-    top = max((t.degrees.total for p in polys if p is not None for t in p.terms), default=0)
-    canonical = iter(polys_from_runs(order, exps_by_var, coeffs, bounds, top))
-    return [next(canonical) if p is None else p for p in polys]
+    return polys_from_runs(order, exps_by_var, coeffs, bounds)
 
 
 def _read_rows(

@@ -17,7 +17,8 @@ A certificate is checked by the merge's set-up
 (:func:`~polycert.heapmul.merge_sources`), which checks every polynomial it
 is given, streamed or not: one order, one dimension, strictly decreasing
 terms.  A polynomial that :func:`~polycert.textio.parse_certificate` read
-as it stands keeps the keys its parser packed, and the set-up takes them.
+as it stands, whether its text was canonical or not, keeps the keys its
+parser packed, and the set-up takes them.
 The verifier keeps only the certificate rules: at least one pair, and a
 dimension of ``len(varset)``.  A malformed certificate raises
 :class:`CertificateFormatError`; :func:`verify`, :func:`combine` and

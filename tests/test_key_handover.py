@@ -1,8 +1,8 @@
 """Each parsed polynomial keeps its packed keys, and every kernel takes them.
 
-``parse_certificate`` and ``parse_poly`` pack each canonical term's key once,
-at the width a merge uses, and each polynomial taken as it stands keeps its
-own, outside its fields; ``poly.checked_keys``, the input check of every
+``parse_certificate`` and ``parse_poly`` pack each term's key once, canonical
+or spaced by hand, at the width a merge uses, and each polynomial taken as it
+stands keeps its own, outside its fields; ``poly.checked_keys``, the input check of every
 kernel and of the merge set-up, takes them instead of packing again.
 Whatever else a certificate holds (a replaced polynomial, polynomials of two
 parses, a hand-spaced section, a Fraction in one section), ``verify``,
@@ -176,9 +176,14 @@ def test_polynomials_of_two_parses_with_different_widths(order):
         assert outcomes(cert) == outcomes(by_hand(cert))
 
 
-def test_hand_spaced_section_is_packed_at_the_handed_width(monkeypatch):
-    # f is the one section the general scan reads, and it holds the largest
-    # total degree, so the parser packs the others wide enough for it
+def hand_spaced(text):
+    """Canonical `text` spaced by hand, so that the general scan reads it."""
+    return text.replace(" + ", "  +  ").replace("*", " * ")
+
+
+def test_hand_spaced_section_keeps_its_keys(monkeypatch):
+    # f is the one section the general scan reads; it joins the parser's
+    # batch, so it keeps its keys when its terms are in order
     sections = {"lambda[1]": "x + 1", "g[1]": "x^7*y + 2*z", "lambda[2]": "y - z",
                 "g[2]": "x*y + z^2"}
     order = ORDERS[2]
@@ -186,15 +191,20 @@ def test_hand_spaced_section_is_packed_at_the_handed_width(monkeypatch):
     total = add(mul_naive(lam1, g1), mul_naive(lam2, g2))
     # the second f is invalid, and its total degree needs a wider shift
     for f in (total, add(total, parse_poly("3*x^40", VARS, order))):
-        spaced = textio.print_poly(f, VARS).replace(" + ", "  +  ").replace("*", " * ")
-        text = "vars: x y z\norder: grevlex\nN: 2\n" + "".join(
-            f"{label}: {body}\n" for label, body in {"f": spaced, **sections}.items())
-        cert = parse_certificate(text)
-        assert cert.f == f
-        assert outcomes(cert) == outcomes(by_hand(cert))
+        certs = []
+        for terms in (f.terms, f.terms[::-1]):  # sorted, then reversed
+            spaced = hand_spaced(textio.print_poly(Polynomial(order, terms), VARS))
+            certs.append(parse_certificate("vars: x y z\norder: grevlex\nN: 2\n" + "".join(
+                f"{label}: {body}\n" for label, body in {"f": spaced, **sections}.items())))
+        for cert in certs:
+            assert cert.f == f
+            assert outcomes(cert) == outcomes(by_hand(cert))
+        assert certs[0].f._keys is not None and certs[1].f._keys is None
         scanned = [t.degrees.exponents for t in f.terms]
-        for direction in ScanDirection:
-            got = packed_monomials(monkeypatch, lambda: find_witness(cert, direction))
+        for direction in ScanDirection:  # the sorted f: only the -1 is packed
+            got = packed_monomials(monkeypatch, lambda: find_witness(certs[0], direction))
+            assert got == [(0, 0, 0)]
+            got = packed_monomials(monkeypatch, lambda: find_witness(certs[1], direction))
             assert sorted(got) == sorted(scanned + [(0, 0, 0)])
 
 
@@ -219,8 +229,7 @@ def test_fraction_in_one_section_keeps_an_all_int_merge_int():
         assert verify(cert).valid
 
 
-@pytest.mark.parametrize("sign", [1, -1])
-def test_loose_polynomial_takes_the_handed_width_or_everything_is_repacked(sign):
+def test_loose_polynomial_takes_the_handed_width_or_everything_is_repacked():
     # parsed, x*z + 1 is packed at the batch's wider shift, and x^40*y + z
     # keeps the widest, at which the batch is packed; built by hand, x*z + 1
     # fits the batch's shift, and x^40*y + z does not, so all are packed anew
@@ -229,8 +238,17 @@ def test_loose_polynomial_takes_the_handed_width_or_everything_is_repacked(sign)
     for text in ("x*z + 1", "x^40*y + z"):
         loose = parse_poly(text, VARS, order)
         for given in (polys + [loose], polys + [rebuilt(loose)]):
-            handed = poly.checked_keys(order, given, 2, sign)
-            assert handed == poly.checked_keys(order, list(map(rebuilt, given)), 2, sign)
+            hand = list(map(rebuilt, given))
+            keys, _ = poly.checked_keys(order, given, 2)
+            assert (keys, False) == poly.checked_keys(order, hand, 2)
+            pairs, hand_pairs = (list(zip(ps[::2], ps[1::2])) for ps in (given, hand))
+            for descending, sign in ((True, -1), (False, 1)):
+                sources, _ = merge_sources(pairs, order, descending)
+                assert sources == merge_sources(hand_pairs, order, descending)[0]
+                # heapq pops the least key, so a max-first merge negates each key
+                scan = [[sign * k for k in kb] for kb in keys[1::2]]
+                assert [s[2] for s in sources] == [[sign * k for k in ka] for ka in keys[::2]]
+                assert [s[3] for s in sources] == [kb if descending else kb[::-1] for kb in scan]
 
 
 def kernel_outcome(kernel, p, q):
@@ -242,15 +260,20 @@ def kernel_outcome(kernel, p, q):
 
 @pytest.mark.parametrize("order", ORDERS)
 def test_kernels_of_two_parses_at_one_width_pack_no_key(monkeypatch, order):
-    # a shared total-12 term gives both parses one shift, so neither is repacked
+    # a shared total-12 term gives the parses one shift, so none is repacked;
+    # the last is spaced by hand, so the general scan reads it
     rng, top = random.Random(str(order)), Polynomial(order, (Term(ev_make((4, 4, 4)), 1),))
     for _ in range(10):
-        p, q = (parse_poly(textio.print_poly(add(top, random_poly(rng, order, 6, 3, 3, r)),
-                                             VARS), VARS, order) for r in (False, True))
-        assert p._keys[0] == q._keys[0]
+        p, q, spaced = (
+            parse_poly(space(textio.print_poly(add(top, random_poly(rng, order, 6, 3, 3, r)),
+                                               VARS)), VARS, order)
+            for r, space in ((False, str), (True, str), (True, hand_spaced)))
+        assert p._keys[0] == q._keys[0] == spaced._keys[0]
         for kernel in (add, mul_heap):
-            assert packed_monomials(monkeypatch, lambda: kernel(p, q)) == []
-            assert kernel_outcome(kernel, p, q) == kernel_outcome(kernel, rebuilt(p), rebuilt(q))
+            for a, b in ((p, q), (p, spaced), (spaced, q)):
+                assert packed_monomials(monkeypatch, lambda: kernel(a, b)) == []
+                assert kernel_outcome(kernel, a, b) == kernel_outcome(kernel, rebuilt(a),
+                                                                      rebuilt(b))
 
 
 @pytest.mark.parametrize("order", ORDERS)

@@ -38,6 +38,7 @@ def _imported_modules(path):
     ("geobucket", "monomial.ev_compare"), ("heapmul", "monomial.ev_compare"),
     ("verifier", "monomial.ev_compare"), ("heapmul", "geobucket"), ("textio", "verifier"),
     ("textio", "monomial.pack_columns"), ("textio", "monomial.evs_unchecked"),
+    ("textio", "poly.poly_from_terms"),
 ])
 def test_module_imports_nothing_from(module, banned):
     banned = f"polycert.{banned}"
