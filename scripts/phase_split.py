@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Time the phases of verifying a perfbench pool's certificates.
+"""Time the phases of verifying a perfbench pool's certificates, and of
+multiplying and printing its products.
 
-It builds the seeded ``verify`` pool through ``perfbench/gen.py`` in memory
-(reading nothing from disk and writing nothing under ``perfbench/``), takes
-its direct verify ops (those not run through the CLI), and times six
-phases, each as one pass over those ops:
+It builds the seeded ``verify`` and ``mul`` pools through
+``perfbench/gen.py`` in memory (reading nothing from disk and writing
+nothing under ``perfbench/``), takes the ``verify`` pool's direct verify
+ops (those not run through the CLI), and times six phases, each as one pass
+over those ops:
 
 - ``parse_s``: ``parse_certificate`` of each distinct certificate text
 - ``setup_s``: the merge set-up of each op (``verifier._checked_sources``)
@@ -13,13 +15,20 @@ phases, each as one pass over those ops:
 - ``verify_s``: the counted ``verify`` of each op
 - ``find_witness_s``: the uncounted ``find_witness`` of each op
 
+It takes the ``mul`` pool's direct ``mul`` ops too, their factors parsed
+once, and times two more phases:
+
+- ``mul_heap_s``: the ``mul_heap`` product of each op
+- ``print_s``: ``print_poly`` of each op's product, each made once
+
 The phases take turns, one pass each per round, and each figure is the best
 of ``--repeat`` rounds, in seconds.  The script prints one JSON line:
 
     python3 scripts/phase_split.py [--seed 1] [--repeat 7] [--ops N]
 
-``--ops N`` keeps the first N direct verify ops only.  It imports
-``polycert`` from the ``src`` directory next to it.
+``--ops N`` keeps the first N direct verify ops and the first N direct
+``mul`` ops only.  It imports ``polycert`` from the ``src`` directory next
+to it.
 """
 
 from __future__ import annotations
@@ -37,7 +46,8 @@ sys.path.insert(1, str(ROOT / "perfbench"))
 sys.dont_write_bytecode = True  # the pool's modules are imported, never cached
 
 import gen  # noqa: E402
-from polycert import ScanDirection, find_witness, parse_certificate, verify  # noqa: E402
+from polycert import MonomialOrder, ScanDirection, VariableSet, find_witness  # noqa: E402
+from polycert import mul_heap, parse_certificate, parse_poly, print_poly, verify  # noqa: E402
 from polycert.verifier import _checked_sources  # noqa: E402
 
 
@@ -52,13 +62,22 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=1, help="pool seed (default 1)")
     ap.add_argument("--repeat", type=int, default=7, help="rounds, best kept (default 7)")
-    ap.add_argument("--ops", type=int, default=None, help="first N direct verify ops only")
+    ap.add_argument("--ops", type=int, default=None,
+                    help="first N direct verify ops and N direct mul ops only")
     args = ap.parse_args()
     pool = gen.build("verify", args.seed)
     ops = [op for op in pool.ops if op.kind == "verify" and not op.cli][: args.ops]
     texts = {op.cert: pool.files[op.cert] for op in ops}
     certs = {name: parse_certificate(text) for name, text in texts.items()}
     jobs = [(certs[op.cert], ScanDirection(op.direction)) for op in ops]
+    mul_pool = gen.build("mul", args.seed)
+    mul_ops = [op for op in mul_pool.ops if op.kind == "mul" and not op.cli][: args.ops]
+    factors = []
+    for op in mul_ops:
+        varset, order = VariableSet(op.names), MonomialOrder(op.order)
+        p, q = (parse_poly(mul_pool.files[name], varset, order) for name in op.files)
+        factors.append((p, q, varset))
+    products = [(mul_heap(p, q), varset) for p, q, varset in factors]
 
     def parse():
         for text in texts.values():
@@ -79,14 +98,24 @@ def main() -> None:
         for cert, direction in jobs:
             find_witness(cert, direction)
 
+    def multiply():
+        for p, q, _ in factors:
+            mul_heap(p, q)
+
+    def printed():
+        for prod, varset in products:
+            print_poly(prod, varset)
+
     phases = {"parse_s": parse, "setup_s": setup(), "setup_max_s": setup(True),
-              "setup_min_s": setup(False), "verify_s": counted, "find_witness_s": uncounted}
+              "setup_min_s": setup(False), "verify_s": counted, "find_witness_s": uncounted,
+              "mul_heap_s": multiply, "print_s": printed}
     best = dict.fromkeys(phases, float("inf"))
     for _ in range(args.repeat):
         for name, call in phases.items():
             best[name] = min(best[name], timed(call))
     print(json.dumps({"seed": args.seed, "certificates": len(texts), "ops": len(jobs),
-                      "repeat": args.repeat, **{k: round(v, 4) for k, v in best.items()}}))
+                      "mul_ops": len(factors), "repeat": args.repeat,
+                      **{k: round(v, 4) for k, v in best.items()}}))
 
 
 if __name__ == "__main__":

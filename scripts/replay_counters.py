@@ -21,6 +21,9 @@ and on that text spaced by hand (``"  +  "`` for ``" + "``, ``" * "`` for
 ``"*"``, so that the general scan reads it), which must each give an equal
 output and the same counters.  The text cannot hold a zero term of f, so
 where f has one, the reference is the call on the certificate without it.
+Each product record (``mul_heap``, ``mul_heap_gb``, ``combine``) is also
+checked by ``print_poly``, which must write the same text for the product
+as for a copy of it built term by term.
 A mismatch stops the script with an ``AssertionError``.  The script prints
 the record count and the SHA-256 digest of all records, so two checkouts
 that print the same line agree on every output and every counter:
@@ -61,6 +64,7 @@ from polycert import (  # noqa: E402
     mul_heap_gb,
     mul_naive,
     parse_certificate,
+    print_poly,
     poly_from_terms,
     verify,
     zero,
@@ -110,6 +114,19 @@ def replay(seed: int):
             out = call()
         return name, out, c
 
+    varset = VariableSet(tuple(f"x{v}" for v in range(nvars)))
+
+    def printed_alike(record):
+        """`record`, of a product, once printing its output writes the text
+        of printing a copy of it built term by term."""
+        out = record[1]
+        text = print_poly(out, varset)
+        copy = Polynomial(order, tuple(Term(ev_make(t.degrees.exponents), t.coeff)
+                                       for t in out.terms))
+        if text != print_poly(copy, varset):
+            raise AssertionError(f"seed {seed}: {record[0]} prints unlike its copy")
+        return record
+
     def parsed_alike(record, cert, call):
         """`record`, of ``call(cert)``, once `call` on `cert` read back from
         its text, and from that text spaced by hand, gives an equal output
@@ -129,21 +146,20 @@ def replay(seed: int):
     yield scoped("poly_from_terms", lambda: poly_from_terms(order, raw))
 
     f, g = poly(rng.randint(1, 25)), poly(rng.randint(1, 25))
-    yield scoped("mul_heap", lambda: mul_heap(f, g))
+    yield printed_alike(scoped("mul_heap", lambda: mul_heap(f, g)))
     parts = [poly(rng.randint(1, 12)) for _ in range(rng.randint(1, 8))]
     for route in GbRoute:
         gb = gb_new(order)
         for p in parts:
             gb.add(p)
-        yield scoped(f"mul_heap_gb.{route.value}",
-                     lambda: mul_heap_gb(f, gb, route, hybrid_threshold=4))
+        yield printed_alike(scoped(f"mul_heap_gb.{route.value}",
+                                   lambda: mul_heap_gb(f, gb, route, hybrid_threshold=4)))
 
     pairs = tuple((poly(rng.randint(1, 6)), poly(rng.randint(1, 6)))
                   for _ in range(rng.randint(1, 5)))
     total = zero(order)
     for lam, fi in pairs:
         total = add(total, mul_naive(lam, fi))
-    varset = VariableSet(tuple(f"x{v}" for v in range(nvars)))
     valid = Certificate(varset, order, total, pairs)
     bad = list(total.terms or poly(1).terms)
     if total.terms:
@@ -165,7 +181,7 @@ def replay(seed: int):
         return [term for _, term in zip(range(stop), it)]
 
     yield scoped("merge_products.partial", partial)
-    yield parsed_alike(scoped("combine", lambda: combine(valid)), valid, combine)
+    yield printed_alike(parsed_alike(scoped("combine", lambda: combine(valid)), valid, combine))
 
 
 def main() -> None:

@@ -208,7 +208,7 @@ def _dispatch(args) -> int:
         (p, q), _, _ = _load_polys(args.mul, args)
         with count_ops() as counters:
             prod = mul_heap(p, q)
-        peak = len(p.terms) + len(q.terms) + len(prod.terms)
+        peak = poly.term_count(p) + poly.term_count(q) + poly.term_count(prod)
         _emit(_report("mul", 2, counters, peak, args.format), args.output)
         return 0
     sys.stderr.write("error: stats needs --cert or --mul\n")

@@ -15,8 +15,9 @@ step looks nothing up but its next key.  A cursor is keyed by the sum of the
 packed keys of its next product's factors, so no monomial is built before
 its term is yielded.  The heap holds each distinct key once, as a plain int,
 and a dict chains to it every cursor at that key.  A step takes the least
-key's whole chain and sums its products, so each yielded term is final; each
-cursor steps in place and joins the chain at its next key, and a new key
+key's whole chain and sums its products, so each yielded term is final,
+and yields it as its two factor monomials and its coefficient; each cursor
+steps in place and joins the chain at its next key, and a new key
 takes the spent key's heap slot (heapreplace) or is pushed.  Outside a
 counter scope C heapq sifts the keys; inside one, :class:`CountedHeap` makes
 C heapq's comparisons and counts each one.  That count and the others
@@ -34,11 +35,11 @@ the Fractions are merged as given.  Either way the counts are the same and
 the results compare equal (a yielded sum of int products alone, in a merge
 with a Fraction, is a Fraction over 1).
 
-Every product in the package is a thin consumer of the engine:
-:func:`mul_heap` merges the single pair (f, g) with at most #f heap keys and
-#f*#g extractions; :func:`~polycert.geobucket.mul_heap_gb` merges pairs
-(f, bucket); the certificate verifier merges (f_i, lambda_i) for every pair
-and (-1, f).
+Every product in the package is a thin consumer of the engine, and
+:func:`collect` holds it as columns: :func:`mul_heap` merges the single pair
+(f, g) with at most #f heap keys and #f*#g extractions;
+:func:`~polycert.geobucket.mul_heap_gb` merges pairs (f, bucket); the
+certificate verifier merges (f_i, lambda_i) for every pair and (-1, f).
 """
 
 from __future__ import annotations
@@ -46,14 +47,13 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heappop, heappush, heapreplace
 from math import lcm
-from operator import add, neg
+from operator import add, attrgetter, itemgetter, neg
 from typing import Iterable, Iterator
 
 from . import poly
 from .counters import _scopes, tally
-from .monomial import ExponentVector, MonomialOrder, _set_exponents, _set_total
-from .poly import Coefficient, Polynomial, Term, _new, _set_coeff, _set_degrees
-from .poly import terms_unchecked
+from .monomial import ExponentVector, MonomialOrder, ev_add
+from .poly import Coefficient, Polynomial, Term, terms_unchecked
 
 _UNCOUNTED = heappop, heappush, heapreplace  # C heapq
 
@@ -125,7 +125,7 @@ def merge_products(
     was done.  The inputs are checked and their keys packed at the call, and
     the loop starts at the first request."""
     terms = merge_streams(*merge_sources(pairs, order, descending))
-    return ((t.degrees, t.coeff) for t in terms)
+    return ((ev_add(da, db), c) for da, db, c in terms)
 
 
 def merge_sources(
@@ -193,10 +193,13 @@ def _numerators(terms: tuple[Term, ...], dens: set[int], side_den: int, scale: i
     return terms_unchecked([t.degrees for t in terms], nums)
 
 
-def merge_streams(sources: list[list], den: int | None = None) -> Iterator[Term]:
+def merge_streams(
+    sources: list[list], den: int | None = None
+) -> Iterator[tuple[ExponentVector, ExponentVector, Coefficient]]:
     """The loop of :func:`merge_products` over :func:`merge_sources`' set-up,
-    yielding finished :class:`Term` objects: each yielded sum S is
-    ``Fraction(S, den)`` unless `den` is None."""
+    yielding each nonzero term as ``(a monomial, b monomial, sum)``, the
+    monomials of the last product summed, whose product is the term's: the
+    sum S is ``Fraction(S, den)`` unless `den` is None."""
     port = CountedHeap()
     counted = port.pop, port.push, port.replace
     scopes = _scopes.get
@@ -240,13 +243,8 @@ def merge_streams(sources: list[list], den: int | None = None) -> Iterator[Term]
             if scoped:  # else the counts since the last resume belong to no scope
                 tally(adds, pops, pops, peak, port.comparisons)
             peak = pops = adds = port.comparisons = 0
-            da, db = cursor[6], cursor[7][j - 1].degrees  # packed: equal lengths
-            ev, term = _new(ExponentVector), _new(Term)  # no frozen __init__
-            _set_exponents(ev, tuple(map(add, da.exponents, db.exponents)))
-            _set_total(ev, da.total + db.total)
-            _set_degrees(term, ev)
-            _set_coeff(term, coeff if den is None else Fraction(coeff, den))
-            yield term
+            yield (cursor[6], cursor[7][j - 1].degrees,  # packed: equal lengths
+                   coeff if den is None else Fraction(coeff, den))
             # scopes open or close only here: sift counted while any is open
             pop, push, replace = counted if (scoped := scopes()) else _UNCOUNTED
     tally(adds, pops, pops, peak, port.comparisons)
@@ -255,8 +253,15 @@ def merge_streams(sources: list[list], den: int | None = None) -> Iterator[Term]
 def collect(
     order: MonomialOrder, sources: list[list], den: int | None = None
 ) -> Polynomial:
-    """The polynomial of the terms :func:`merge_streams` yields."""
-    return Polynomial(order, tuple(merge_streams(sources, den)))
+    """The polynomial of the terms :func:`merge_streams` yields, held as
+    columns (:func:`~polycert.poly.poly_from_columns`): each exponent column
+    is the sum of its factors' columns, added in C."""
+    terms = list(merge_streams(sources, den))
+    exps = attrgetter("exponents")
+    ea, eb = (list(map(exps, map(itemgetter(k), terms))) for k in (0, 1))
+    width = len(ea[0]) if terms else 0  # the set-up checked one dimension
+    columns = [list(map(add, map(at, ea), map(at, eb))) for at in map(itemgetter, range(width))]
+    return poly.poly_from_columns(order, columns, list(map(itemgetter(2), terms)))
 
 
 def mul_heap(f: Polynomial, g: Polynomial) -> Polynomial:

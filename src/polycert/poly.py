@@ -19,8 +19,11 @@ coefficient columns, packing each key once, at the width of a merge of all
 of them, and takes a run already in order as it stands, counted as that sort
 would count it; such a polynomial keeps its keys, and :func:`checked_keys`
 takes them instead of packing again.  Keys always order as the monomial
-order; a max-first merge negates its own copy.  A :class:`Certificate`
-pairs the cofactors lambda_i with the f_i of f = sum_i lambda_i * f_i.
+order; a max-first merge negates its own copy.  :func:`poly_from_columns`
+holds a product as exponent and coefficient columns, and builds its terms
+only when they are first read; :func:`columns` reads any polynomial's
+columns.  A :class:`Certificate` pairs the cofactors lambda_i with the f_i
+of f = sum_i lambda_i * f_i.
 """
 
 from __future__ import annotations
@@ -29,12 +32,12 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, repeat, starmap
-from operator import gt
+from operator import gt, itemgetter
 from typing import Iterable, Union
 
 from .counters import key_factory, tally
-from .errors import DomainError, EmptyPolynomialError, FormatError, KernelError
-from .errors import OrderMismatchError
+from .errors import DimensionError, DomainError, EmptyPolynomialError, FormatError
+from .errors import KernelError, OrderMismatchError
 from .monomial import ExponentVector, MonomialOrder, VariableSet, ev_add
 from .monomial import evs_unchecked, key_packer, num_repr, pack_columns
 
@@ -77,14 +80,31 @@ class Polynomial:
     """A polynomial that :func:`polys_from_runs` built as it stands also
     keeps, outside its fields, ``(shift, keys)``: its terms' keys, packed at
     `shift` for sums of two keys (:func:`checked_keys`); equality, repr and
-    :func:`dataclasses.replace` ignore them."""
+    :func:`dataclasses.replace` ignore them.
+
+    One that :func:`poly_from_columns` built holds, outside its fields,
+    ``(exponent columns, coefficients)`` instead of its `terms`, which are
+    built when first read and then kept beside them; every field reads, and
+    so compares, hashes, prints, copies and pickles, as in terms form."""
 
     order: MonomialOrder
     terms: tuple[Term, ...]
     _keys = None  # not a field: every other polynomial keeps no keys
+    _columns = None  # not a field: every other polynomial is held as terms
+
+    def __getattr__(self, name: str):
+        """The missing `terms` field of a polynomial held as columns: built
+        once, and a read that races the first gets the same tuple."""
+        held = self._columns
+        if name != "terms" or held is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        exps, coeffs = held
+        rows = list(zip(*exps)) if exps else [()] * len(coeffs)
+        terms = terms_unchecked(evs_unchecked(rows, list(map(sum, rows))), coeffs)
+        return self.__dict__.setdefault("terms", tuple(terms))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not term_count(self)
 
 
 @dataclass(frozen=True)
@@ -157,6 +177,35 @@ def polys_from_runs(
         polys.append(p)
     tally(comparisons=comparisons)
     return polys
+
+
+def poly_from_columns(
+    order: MonomialOrder, exps: list[list[int]], coeffs: list[Coefficient]
+) -> Polynomial:
+    """The polynomial whose term i has exponents ``exps[v][i]`` (one column
+    per variable) and coefficient ``coeffs[i]``, strictly decreasing with no
+    zero coefficient, held as those columns (see :class:`Polynomial`)."""
+    p = _new(Polynomial)
+    p.__dict__.update(order=order, _columns=(exps, coeffs))  # past frozen
+    return p
+
+
+def columns(
+    p: Polynomial, start: int = 0, stop: int | None = None
+) -> tuple[list[list[int]], list[Coefficient]]:
+    """The exponent columns, one per variable, and the coefficients of p's
+    terms ``start:stop``: sliced from those p is held as, or read off its
+    terms (:class:`DimensionError` if their lengths differ)."""
+    held = p._columns
+    if held is not None:
+        exps, coeffs = held
+        return [column[start:stop] for column in exps], coeffs[start:stop]
+    terms = p.terms[start:stop]
+    rows = [t.degrees.exponents for t in terms]
+    if len(widths := set(map(len, rows))) > 1:
+        raise DimensionError("exponent vectors of mixed lengths")
+    at = map(itemgetter, range(max(widths, default=0)))  # zip(*rows) makes an iterator a row
+    return [list(map(get, rows)) for get in at], [t.coeff for t in terms]
 
 
 def read_sorted(
@@ -301,7 +350,9 @@ def leading_term(p: Polynomial) -> Term:
 
 
 def term_count(p: Polynomial) -> int:
-    return len(p.terms)
+    """How many terms p has; a polynomial held as columns builds none."""
+    held = p._columns
+    return len(p.terms if held is None else held[1])
 
 
 def is_well_formed(p: Polynomial) -> bool:

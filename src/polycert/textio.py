@@ -41,9 +41,11 @@ int-string digit limit are converted in pieces, without changing the limit.
 Each distinct denominator is converted once per call, read or printed: a
 long number's conversion is quadratic in its length.
 
-:func:`print_poly` looks each exponent's factor text up in a per-variable
-:class:`_Table` (:func:`_factor_tables`, cached per variable set) and joins a
-term's factors in C.
+:func:`print_poly` reads a polynomial's exponent and coefficient columns
+(:func:`~polycert.poly.columns`), ``_ROWS`` terms at a time, so a product
+held as columns prints without building a term.  It looks each exponent's
+factor text up in a per-variable :class:`_Table` (:func:`_factor_tables`,
+cached per variable set) and joins a term's factors in C.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ from typing import Callable
 from .errors import CertificateFormatError, DimensionError, ParseError
 from .monomial import ExponentVector, MonomialOrder, VariableSet, ev_make
 from .monomial import int_str as _str
-from .poly import Certificate, Coefficient, Polynomial, check_coefficients, polys_from_runs
+from .poly import Certificate, Coefficient, Polynomial, check_coefficients, columns
+from .poly import polys_from_runs, term_count
 
 # A term is a head (sign, integer, '/' denominator; each optional), then
 # factors joined by '*'.  Each pattern ends past trailing whitespace, so the
@@ -127,7 +130,7 @@ def _term_pattern(names: tuple[str, ...]) -> re.Pattern:
 
 
 _TABLE_SIZE = 4096  # most entries kept by a conversion table
-_ROWS = 2048  # term rows read at a time, so few term strings are alive at once
+_ROWS = 2048  # term rows read or printed at a time, so few rows are alive at once
 _SLICE = 8192  # least characters one findall reads of a longer text
 _CUT = re.compile(r" [+-] ")  # a slice ends before the sign of a separator
 
@@ -297,34 +300,39 @@ def print_poly(p: Polynomial, varset: VariableSet) -> str:
     reparses to an equal one; a zero term prints as ``0*…``, which the
     parser drops.
 
-    Each variable's factor text is looked up, in C, in a table of that
-    variable's exponents (:func:`_factor_tables`), and each distinct
-    denominator is printed once.  :class:`DimensionError` unless p's leading
-    term has ``len(varset)`` exponents, and one pass of
-    :func:`~polycert.poly.check_coefficients` first (a float 1.0 must not
-    print as a bare monomial)."""
-    if not p.terms:
+    p's exponent and coefficient columns (:func:`~polycert.poly.columns`,
+    so a product held as columns builds no term) are read ``_ROWS`` terms
+    at a time.  Each variable's factor text is looked up, in C, in a table
+    of that variable's exponents (:func:`_factor_tables`), each term's
+    factors are joined in C, and each distinct denominator is printed once.
+    Before a chunk is printed, :class:`DimensionError` unless each of its
+    terms has ``len(varset)`` exponents, and one pass of
+    :func:`~polycert.poly.check_coefficients` (a float 1.0 must not print as
+    a bare monomial)."""
+    n = term_count(p)
+    if not n:
         return "0"
-    if (n := len(p.terms[0].degrees.exponents)) != len(varset):
-        raise DimensionError(f"expected {len(varset)} exponents, got {n}")
-    check_coefficients([t.coeff for t in p.terms])
-    tables, factor = _factor_tables(varset.names), dict.__getitem__
+    tables = _factor_tables(varset.names)
     denominators = cache(_str)  # for this call: denominators repeat across terms
     chunks = []  # one string per term, so the peak stays one object a term
-    for t in p.terms:
-        c = t.coeff
-        mono = "".join(map(factor, tables, t.degrees.exponents))  # "*x^2*y"
-        if c < 0:
-            sign, c = " - ", -c
-        else:
-            sign = " + "
-        if c != 1 or not mono:
-            num, den = _str(c.numerator), c.denominator
-            if den != 1:
-                num = f"{num}/{denominators(den)}"
-            chunks.append(f"{sign}{num}{mono}")
-        else:
-            chunks.append(f"{sign}{mono[1:]}")
+    for start in range(0, n, _ROWS):
+        exps, coeffs = columns(p, start, start + _ROWS)
+        if len(exps) != len(varset):
+            raise DimensionError(f"expected {len(varset)} exponents, got {len(exps)}")
+        check_coefficients(coeffs)
+        factors = [map(table.__getitem__, column) for table, column in zip(tables, exps)]
+        for c, mono in zip(coeffs, map("".join, zip(*factors))):  # mono: "*x^2*y"
+            if c < 0:
+                sign, c = " - ", -c
+            else:
+                sign = " + "
+            if c != 1 or not mono:
+                num, den = _str(c.numerator), c.denominator
+                if den != 1:
+                    num = f"{num}/{denominators(den)}"
+                chunks.append(f"{sign}{num}{mono}")
+            else:
+                chunks.append(f"{sign}{mono[1:]}")
     first = chunks[0]
     chunks[0] = f"-{first[3:]}" if first[1] == "-" else first[3:]
     return "".join(chunks)

@@ -40,7 +40,7 @@ from .errors import (
     CertificateFormatError, DimensionError, FormatError, OrderMismatchError,
 )
 from .heapmul import collect, merge_sources, merge_streams
-from .monomial import ExponentVector, ev_make, num_repr
+from .monomial import ExponentVector, ev_add, ev_make, num_repr
 from .poly import Certificate, Coefficient, Polynomial, Term
 
 
@@ -102,7 +102,7 @@ def find_witness(
     open the merge sifts with C heapq and counts nothing."""
     setup = _checked_sources(cert, direction is ScanDirection.MAX_FIRST, True)
     # the first nonzero residual term is the witness; the merge stops there
-    return next(((t.degrees, t.coeff) for t in merge_streams(*setup)), None)
+    return next(((ev_add(da, db), c) for da, db, c in merge_streams(*setup)), None)
 
 
 def verify(

@@ -88,6 +88,12 @@ def test_only_poly_names_the_kept_keys():
     assert not [path.stem for path in SRC.glob("*.py") if "_packed" in set(_names(path))]
 
 
+def test_only_poly_names_the_held_columns():
+    # a product held as columns is poly's business: the others read them through poly.columns
+    users = {path.stem for path in SRC.glob("*.py") if "_columns" in set(_names(path))}
+    assert users == {"poly"}
+
+
 def test_the_public_names_stay_the_same():
     # a name moved between modules stays exported from the package
     assert sorted(polycert.__all__) == [
