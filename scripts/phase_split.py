@@ -21,14 +21,23 @@ once, and times two more phases:
 - ``mul_heap_s``: the ``mul_heap`` product of each op
 - ``print_s``: ``print_poly`` of each op's product, each made once
 
+and the ``mul`` pool's direct ``bigcoeff`` verify ops, whose certificates
+have rational cofactors, and times two more:
+
+- ``rational_parse_s``: ``parse_certificate`` of each distinct certificate
+  text
+- ``rational_find_witness_s``: ``find_witness`` of each op on a certificate
+  parsed afresh (parsed outside the timed call), so no section's terms were
+  built before it
+
 The phases take turns, one pass each per round, and each figure is the best
 of ``--repeat`` rounds, in seconds.  The script prints one JSON line:
 
     python3 scripts/phase_split.py [--seed 1] [--repeat 7] [--ops N]
 
-``--ops N`` keeps the first N direct verify ops and the first N direct
-``mul`` ops only.  It imports ``polycert`` from the ``src`` directory next
-to it.
+``--ops N`` keeps the first N direct verify ops, the first N direct
+``mul`` ops and the first N direct ``bigcoeff`` verify ops only.  It
+imports ``polycert`` from the ``src`` directory next to it.
 """
 
 from __future__ import annotations
@@ -78,6 +87,9 @@ def main() -> None:
         p, q = (parse_poly(mul_pool.files[name], varset, order) for name in op.files)
         factors.append((p, q, varset))
     products = [(mul_heap(p, q), varset) for p, q, varset in factors]
+    rational_ops = [op for op in mul_pool.ops if op.family == "bigcoeff"
+                    and op.kind == "verify" and not op.cli][: args.ops]
+    rational_texts = {op.cert: mul_pool.files[op.cert] for op in rational_ops}
 
     def parse():
         for text in texts.values():
@@ -98,6 +110,15 @@ def main() -> None:
         for cert, direction in jobs:
             find_witness(cert, direction)
 
+    def rational_parse():
+        for text in rational_texts.values():
+            parse_certificate(text)
+
+    def rational_find_witness():
+        jobs = [(parse_certificate(rational_texts[op.cert]), ScanDirection(op.direction))
+                for op in rational_ops]
+        return lambda: [find_witness(cert, direction) for cert, direction in jobs]
+
     def multiply():
         for p, q, _ in factors:
             mul_heap(p, q)
@@ -108,13 +129,16 @@ def main() -> None:
 
     phases = {"parse_s": parse, "setup_s": setup(), "setup_max_s": setup(True),
               "setup_min_s": setup(False), "verify_s": counted, "find_witness_s": uncounted,
-              "mul_heap_s": multiply, "print_s": printed}
+              "mul_heap_s": multiply, "print_s": printed, "rational_parse_s": rational_parse,
+              "rational_find_witness_s": rational_find_witness}
+    fresh = {"rational_find_witness_s"}  # set up anew, untimed, before each pass
     best = dict.fromkeys(phases, float("inf"))
     for _ in range(args.repeat):
         for name, call in phases.items():
-            best[name] = min(best[name], timed(call))
+            best[name] = min(best[name], timed(call() if name in fresh else call))
     print(json.dumps({"seed": args.seed, "certificates": len(texts), "ops": len(jobs),
-                      "mul_ops": len(factors), "repeat": args.repeat,
+                      "mul_ops": len(factors), "rational_ops": len(rational_ops),
+                      "repeat": args.repeat,
                       **{k: round(v, 4) for k, v in best.items()}}))
 
 

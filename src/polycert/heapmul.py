@@ -29,11 +29,12 @@ scans negate their keys and min-first scans read each b_k backwards.
 Rationals are merged on integers, as FLINT's ``fmpq_poly`` stores a rational
 polynomial over one denominator.  When any coefficient is a Fraction, the
 set-up rewrites them as integer numerators over one denominator D
-(:func:`_over_one_den`), so the loop adds int products, with no gcd, and
-makes one ``Fraction(S, D)`` per yielded term; past the bound on D's length
-the Fractions are merged as given.  Either way the counts are the same and
-the results compare equal (a yielded sum of int products alone, in a merge
-with a Fraction, is a Fraction over 1).
+(:func:`_over_one_den`, from the numerators and denominators a parsed
+section holds), so the loop adds int products, with no gcd, and makes one
+``Fraction(S, D)`` per yielded term; past the bound on D's length the
+Fractions are merged as given.  Either way the counts are the same and the
+results compare equal (a yielded sum of int products alone, in a merge with
+a Fraction, is a Fraction over 1).
 
 Every product in the package is a thin consumer of the engine, and
 :func:`collect` holds it as columns: :func:`mul_heap` merges the single pair
@@ -47,7 +48,7 @@ from __future__ import annotations
 from fractions import Fraction
 from heapq import heappop, heappush, heapreplace
 from math import lcm
-from operator import add, attrgetter, itemgetter, neg
+from operator import add, attrgetter, itemgetter, mul, neg
 from typing import Iterable, Iterator
 
 from . import poly
@@ -147,18 +148,20 @@ def merge_sources(
     pairs = list(pairs)
     polys = [p for pair in pairs for p in pair]
     keys, fractions = poly.checked_keys(order, polys, 2)
-    sources = [[a.terms, b.terms, list(map(neg, ka)), list(map(neg, kb))] if descending
-               else [a.terms, b.terms[::-1], ka, kb[::-1]]
-               for (a, b), ka, kb in zip(pairs, keys[::2], keys[1::2]) if a.terms and b.terms]
+    live = [(a, b, ka, kb) for (a, b), ka, kb in zip(pairs, keys[::2], keys[1::2]) if ka and kb]
     # a merge with a Fraction runs on integer numerators over one denominator
-    return sources, _over_one_den(sources) if fractions else None
+    over = fractions and _over_one_den([(a, b) for a, b, _, _ in live])
+    den, sides = over or (None, [(a.terms, b.terms) for a, b, _, _ in live])
+    sources = [[ta, tb, list(map(neg, ka)), list(map(neg, kb))] if descending
+               else [ta, tb[::-1], ka, kb[::-1]] for (ta, tb), (_, _, ka, kb) in zip(sides, live)]
+    return sources, den
 
 
-def _over_one_den(sources: list[list]) -> int | None:
-    """Rewrite the coefficients of `sources` as integer numerators over one
-    denominator D and return D; or, when D would be over twice as long, in
-    bits, as the shortest denominator above 1 of any of them, return None
-    and leave them as they are.
+def _over_one_den(pairs: list[tuple[Polynomial, Polynomial]]) -> tuple[int, list] | None:
+    """D and the terms of each pair, each coefficient an integer numerator
+    over one denominator D, read from :func:`~polycert.poly.fraction_columns`
+    (a parsed rational section makes no Fraction); or None when D would be
+    over twice as long, in bits, as the shortest denominator above 1.
 
     Pair k's sides are scaled by the lcm of their own denominators, da_k
     and db_k, and its a-side also by D / (da_k * db_k), where D is the lcm
@@ -167,7 +170,8 @@ def _over_one_den(sources: list[list]) -> int | None:
     length: without it, pairwise-coprime denominators make a D as long as
     all of them together, and so does the f of a certificate over them.
     Their lcm alone can take longer than the merge, so it stops early."""
-    sides = [[{t.coeff.denominator for t in ts} for ts in s[:2]] for s in sources]
+    parts = [[poly.fraction_columns(p) for p in pair] for pair in pairs]
+    sides = [[set(side[2]) for side in s] for s in parts]
     dens = set().union(*(ds for s in sides for ds in s))
     limit = 2 * min((d.bit_length() for d in dens if d != 1), default=1)
     common = 1
@@ -178,19 +182,17 @@ def _over_one_den(sources: list[list]) -> int | None:
     den = lcm(*{da * db for da, db in side_dens})
     if den.bit_length() > limit:
         return None
-    for s, (dsa, dsb), (da, db) in zip(sources, sides, side_dens):
-        s[0] = _numerators(s[0], dsa, da, den // (da * db))
-        s[1] = _numerators(s[1], dsb, db, 1)
-    return den
+    return den, [(_numerators(pa, dsa, da, den // (da * db)), _numerators(pb, dsb, db, 1))
+                 for (pa, pb), (dsa, dsb), (da, db) in zip(parts, sides, side_dens)]
 
 
-def _numerators(terms: tuple[Term, ...], dens: set[int], side_den: int, scale: int) -> list[Term]:
-    """`terms` with each coefficient c replaced by the int c * side_den *
-    scale, where `dens` holds every denominator of `terms` and side_den is a
-    multiple of each; each distinct denominator's factor is worked out once."""
+def _numerators(side: tuple, dens: set[int], side_den: int, scale: int) -> list[Term]:
+    """The terms of `side` (monomials, numerators n, denominators d), each
+    coefficient the int n * side_den / d * scale, where `dens` holds every d
+    and side_den is a multiple of each; each d's factor is worked out once."""
+    monomials, nums, side_dens = side
     factor = {d: side_den // d * scale for d in dens}
-    nums = [t.coeff.numerator * factor[t.coeff.denominator] for t in terms]
-    return terms_unchecked([t.degrees for t in terms], nums)
+    return terms_unchecked(monomials, list(map(mul, nums, map(factor.__getitem__, side_dens))))
 
 
 def merge_streams(

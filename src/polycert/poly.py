@@ -20,10 +20,10 @@ of them, and takes a run already in order as it stands, counted as that sort
 would count it; such a polynomial keeps its keys, and :func:`checked_keys`
 takes them instead of packing again.  Keys always order as the monomial
 order; a max-first merge negates its own copy.  :func:`poly_from_columns`
-holds a product as exponent and coefficient columns, and builds its terms
-only when they are first read; :func:`columns` reads any polynomial's
-columns.  A :class:`Certificate` pairs the cofactors lambda_i with the f_i
-of f = sum_i lambda_i * f_i.
+holds a product as columns, and a parsed rational run holds its numerators
+and denominators: each builds its terms only when first read.
+:func:`columns` reads any polynomial's columns.  A :class:`Certificate`
+pairs the cofactors lambda_i with the f_i of f = sum_i lambda_i * f_i.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, repeat, starmap
-from operator import gt, itemgetter
+from itertools import islice, pairwise, repeat, starmap
+from operator import attrgetter, gt, itemgetter
 from typing import Iterable, Union
 
 from .counters import key_factory, tally
@@ -85,22 +85,29 @@ class Polynomial:
     One that :func:`poly_from_columns` built holds, outside its fields,
     ``(exponent columns, coefficients)`` instead of its `terms`, which are
     built when first read and then kept beside them; every field reads, and
-    so compares, hashes, prints, copies and pickles, as in terms form."""
+    so compares, hashes, prints, copies and pickles, as in terms form.  A
+    rational run that :func:`polys_from_runs` takes as it stands holds
+    ``(monomials, integer numerators, denominators)`` instead, in
+    `_fractions`, and makes one Fraction a term on first read."""
 
     order: MonomialOrder
     terms: tuple[Term, ...]
     _keys = None  # not a field: every other polynomial keeps no keys
     _columns = None  # not a field: every other polynomial is held as terms
+    _fractions = None  # not a field: nor as a parsed rational run's columns
 
     def __getattr__(self, name: str):
         """The missing `terms` field of a polynomial held as columns: built
         once, and a read that races the first gets the same tuple."""
-        held = self._columns
-        if name != "terms" or held is None:
+        held, parsed = self._columns, self._fractions
+        if name != "terms" or held is None and parsed is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        exps, coeffs = held
-        rows = list(zip(*exps)) if exps else [()] * len(coeffs)
-        terms = terms_unchecked(evs_unchecked(rows, list(map(sum, rows))), coeffs)
+        if parsed is not None:
+            terms = terms_unchecked(parsed[0], coefficients(*parsed[1:]))
+        else:
+            exps, coeffs = held
+            rows = list(zip(*exps)) if exps else [()] * len(coeffs)
+            terms = terms_unchecked(evs_unchecked(rows, list(map(sum, rows))), coeffs)
         return self.__dict__.setdefault("terms", tuple(terms))
 
     def is_zero(self) -> bool:
@@ -138,24 +145,22 @@ def poly_from_terms(
 
 
 def polys_from_runs(
-    order: MonomialOrder,
-    columns: list[list[int]],
-    coeffs: list[Coefficient],
-    bounds: list[int],
+    order: MonomialOrder, columns: list[list[int]], nums: list[int], dens: list, bounds: list[int]
 ) -> list[Polynomial]:
     """:func:`poly_from_terms` of each run of terms ``a:b`` between
     consecutive `bounds`, term i with exponents ``columns[v][i]`` (one
     column per variable, left empty once packed) and coefficient
-    ``coeffs[i]``.
+    ``nums[i]`` over ``dens[i]`` (:func:`coefficients`).
 
     Every term is packed once, at the `shift` for sums of two keys of total
     degree up to any run's, so that a merge of these polynomials, and of
     others whose totals fit that shift, takes their keys as they are
     (:func:`checked_keys`).  A run whose keys strictly decrease, with no
-    zero coefficient, is a polynomial as it stands, which keeps
+    zero numerator, is a polynomial as it stands, which keeps
     ``(shift, keys[a:b])``, tallied as the n-1 comparisons that
     ``poly_from_terms``' sort makes on it (a reversed sort of a strictly
-    decreasing list scans one ascending run); any other run goes through
+    decreasing list scans one ascending run), held as columns if a term has
+    a denominator (see :class:`Polynomial`); any other run goes through
     ``poly_from_terms`` and keeps no keys."""
     exps = list(zip(*columns))
     totals = list(map(sum, exps))
@@ -165,15 +170,19 @@ def polys_from_runs(
     descending = list(map(gt, keys, islice(keys, 1, None)))
     degrees = evs_unchecked(exps, totals)
     del exps, totals
-    terms = terms_unchecked(degrees, coeffs)
+    terms = terms_unchecked(degrees, nums)
     polys, comparisons = [], 0
-    for a, b in zip(bounds, bounds[1:]):
-        if all(descending[a : b - 1]) and all(coeffs[a:b]):
-            p = Polynomial(order, tuple(terms[a:b]))
+    for a, b in pairwise(bounds):
+        if all(descending[a : b - 1]) and all(nums[a:b]):
+            if any(dens[a:b]):
+                p = _new(Polynomial)
+                p.__dict__.update(order=order, _fractions=(degrees[a:b], nums[a:b], dens[a:b]))
+            else:
+                p = Polynomial(order, tuple(terms[a:b]))
             object.__setattr__(p, "_keys", (shift, keys[a:b]))  # past frozen
             comparisons += b - a - 1
         else:
-            p = poly_from_terms(order, zip(degrees[a:b], coeffs[a:b]))
+            p = poly_from_terms(order, zip(degrees[a:b], coefficients(nums[a:b], dens[a:b])))
         polys.append(p)
     tally(comparisons=comparisons)
     return polys
@@ -188,6 +197,19 @@ def poly_from_columns(
     p = _new(Polynomial)
     p.__dict__.update(order=order, _columns=(exps, coeffs))  # past frozen
     return p
+
+
+def coefficients(nums: list[int], dens: list[int | None]) -> list[Coefficient]:
+    """Each of `nums` over its denominator in `dens`, or as it is where that is None."""
+    return [n if d is None else Fraction(n, d) for n, d in zip(nums, dens)]
+
+
+def fraction_columns(p: Polynomial) -> tuple:
+    """A nonempty p's monomials, numerators and denominators: a parsed section's as held."""
+    if p._fractions is None:
+        return tuple(zip(*[(t.degrees, t.coeff.numerator, t.coeff.denominator) for t in p.terms]))
+    degrees, nums, dens = p._fractions
+    return degrees, nums, [1 if d is None else d for d in dens]
 
 
 def columns(
@@ -245,7 +267,7 @@ def checked_keys(
     kept shift give them as they are, and the others are packed at that
     shift, when their totals fit it; else every key is packed here.  Only a
     kept polynomial's first monomial joins the dimension check; its order,
-    descent and coefficients are checked in full."""
+    descent and coefficients (but a parsed section's numerators) are checked."""
     for p in polys:
         if p.order is not order:
             raise OrderMismatchError(f"{p.order} vs {order}")
@@ -254,7 +276,8 @@ def checked_keys(
     kept = [k[1] if k and k[0] == shift else None for k in held]
     evs = [t.degrees for p, k in zip(polys, kept) if k is None for t in p.terms]
     if shift is not None:  # the others take the kept shift, if they fit it
-        evs += [p.terms[0].degrees for p, k in zip(polys, kept) if k is not None]
+        evs += [p.terms[0].degrees if p._fractions is None else p._fractions[0][0]
+                for p, k in zip(polys, kept) if k is not None]
         if (summands * max(ev.total for ev in evs)).bit_length() > shift:
             shift, kept = 0, [None] * len(polys)  # too narrow: pack all
             evs = [t.degrees for p in polys for t in p.terms]
@@ -262,7 +285,9 @@ def checked_keys(
     keys = [[pack(t.degrees) for t in p.terms] if k is None else k for p, k in zip(polys, kept)]
     if not all(all(map(gt, k, k[1:])) for k in keys):
         raise FormatError("terms not strictly decreasing")
-    return keys, check_coefficients([t.coeff for p in polys for t in p.terms])
+    rational = any(map(attrgetter("_fractions"), polys))  # parsed int numerators pass
+    coeffs = [t.coeff for p in polys if not rational or p._fractions is None for t in p.terms]
+    return keys, check_coefficients(coeffs) or rational
 
 
 def check_coefficients(coeffs: list) -> bool:
@@ -351,7 +376,7 @@ def leading_term(p: Polynomial) -> Term:
 
 def term_count(p: Polynomial) -> int:
     """How many terms p has; a polynomial held as columns builds none."""
-    held = p._columns
+    held = p._columns or p._fractions
     return len(p.terms if held is None else held[1])
 
 

@@ -26,11 +26,12 @@ label.
 :func:`parse_poly` reads text that is wholly canonical, or else the general
 scan reads it all.  Canonical text is a run of terms as :func:`print_poly`
 writes them, each one match of a pattern compiled once per variable set;
-``findall`` takes them a slice at a time, and their exponent and
-coefficient columns are built in C (each looked up in a :class:`_Table`).
-The general scan's terms join the same columns, so each text is one run of
-them, and :func:`~polycert.poly.polys_from_runs` takes a run in order
-without zero terms as it stands and sorts any other.
+``findall`` takes them a slice at a time, and their exponent, signed
+numerator and denominator (None if none) columns are built in C (each looked
+up in a :class:`_Table`), so no Fraction is made.  The general scan's terms
+join the same columns, so each text is one run of them, and
+:func:`~polycert.poly.polys_from_runs` takes a run in order without zero
+terms as it stands (a rational one as columns) and sorts any other.
 :func:`parse_certificate` reads all of a certificate's sections, in section
 order, as runs of one such batch, whose keys are packed wide enough for the
 merge of the whole certificate.  The general scan
@@ -51,17 +52,16 @@ cached per variable set) and joins a term's factors in C.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import compress
-from operator import add, itemgetter
+from itertools import repeat
+from operator import add, attrgetter, itemgetter
 from typing import Callable
 
 from .errors import CertificateFormatError, DimensionError, ParseError
 from .monomial import ExponentVector, MonomialOrder, VariableSet, ev_make
 from .monomial import int_str as _str
-from .poly import Certificate, Coefficient, Polynomial, check_coefficients, columns
-from .poly import polys_from_runs, term_count
+from .poly import Certificate, Coefficient, Polynomial, check_coefficients, coefficients
+from .poly import columns, polys_from_runs, term_count
 
 # A term is a head (sign, integer, '/' denominator; each optional), then
 # factors joined by '*'.  Each pattern ends past trailing whitespace, so the
@@ -195,9 +195,9 @@ def _parse_texts(texts: list[str], varset: VariableSet, order: MonomialOrder) ->
     every polynomial, packing their keys at one width."""
     pattern, whole = _term_pattern(varset.names), itemgetter(0)
     exps_by_var: list[list[int]] = [[] for _ in varset.names]
-    coeffs: list[Coefficient] = []
+    nums, dens = [], []  # signed numerators; denominators, None where a term has none
     rows: list[tuple[str, ...]] = []
-    denominators = cache(_int)  # for this call: denominators repeat across terms
+    denominators = cache(lambda d: _int(d) if d else None)  # per call: they repeat
     bounds = [0]
     for text in texts:
         start = 0
@@ -209,62 +209,61 @@ def _parse_texts(texts: list[str], varset: VariableSet, order: MonomialOrder) ->
                 break
             rows += found
             if len(rows) >= _ROWS:
-                _read_rows(rows, exps_by_var, coeffs, denominators)
+                _read_rows(rows, exps_by_var, nums, dens, denominators)
             start += len(piece)
         if not text or start < len(text):  # not canonical: drop any first slices' terms
-            _read_rows(rows, exps_by_var, coeffs, denominators)
-            for column in (coeffs, *exps_by_var):
+            _read_rows(rows, exps_by_var, nums, dens, denominators)
+            for column in (nums, dens, *exps_by_var):
                 del column[bounds[-1] :]
             if not text.strip():
                 raise ParseError("empty polynomial text", 0)
-            degrees, scanned = zip(*_scan(text, varset))
-            coeffs += scanned
-            for exps, column in zip(exps_by_var, zip(*(ev.exponents for ev in degrees))):
-                exps += column
-        bounds.append(len(coeffs) + len(rows))
-    _read_rows(rows, exps_by_var, coeffs, denominators)
-    return polys_from_runs(order, exps_by_var, coeffs, bounds)
+            pairs = _scan(text, varset, dens)
+            nums += map(itemgetter(1), pairs)
+            scanned = list(map(attrgetter("exponents"), map(itemgetter(0), pairs)))
+            for exps, at in zip(exps_by_var, map(itemgetter, range(len(exps_by_var)))):
+                exps += map(at, scanned)
+        bounds.append(len(nums) + len(rows))
+    _read_rows(rows, exps_by_var, nums, dens, denominators)
+    return polys_from_runs(order, exps_by_var, nums, dens, bounds)
 
 
-def _read_rows(
-    rows: list[tuple[str, ...]],
-    exps_by_var: list[list[int]],
-    coeffs: list[Coefficient],
-    denominators: Callable[[str], int],
-) -> None:
+def _read_rows(rows: list[tuple[str, ...]], exps_by_var: list[list[int]], nums: list[int],
+               dens: list, denominators: Callable[[str], int | None]) -> None:
     """Move canonical term rows, as ``findall`` gives them, into the
-    exponent columns and the coefficients, each denominator text read
-    through `denominators`; `rows` is left empty."""
+    exponent columns, the signed numerators and the denominators, each
+    denominator text read through `denominators`; `rows` is left empty."""
     if not rows:
         return
-    _, signs, nums, dens, *factors = zip(*rows)
+    _, signs, digits, den_texts, *factors = zip(*rows)
     rows.clear()
     for exps, column in zip(exps_by_var, factors):
         exps += map(_EXPONENTS.__getitem__, column)
-    start = len(coeffs)
-    coeffs += map(_COEFFICIENTS.__getitem__, map(add, signs, nums))
-    for i in compress(range(len(dens)), dens):  # only terms with a denominator
-        coeffs[start + i] = Fraction(coeffs[start + i], denominators(dens[i]))
+    nums += map(_COEFFICIENTS.__getitem__, map(add, signs, digits))
+    dens += map(denominators, den_texts) if any(den_texts) else repeat(None, len(den_texts))
 
 
-def _scan(text: str, varset: VariableSet) -> list[tuple[ExponentVector, Coefficient]]:
+def _scan(text: str, varset: VariableSet,
+          dens: list | None = None) -> list[tuple[ExponentVector, Coefficient]]:
     """The general grammar: the terms of `text`, in text order, or
-    :class:`ParseError` at the first malformed token."""
+    :class:`ParseError` at the first malformed token.  Given `dens`, each
+    term's coefficient is its signed numerator, and its denominator, or
+    None, is appended to `dens`; else its value (the reference scan)."""
     index = {name: i for i, name in enumerate(varset.names)}
     pairs: list[tuple[ExponentVector, Coefficient]] = []
+    scanned = [] if dens is None else dens
     pos = 0
     while pos < len(text):
         head = _HEAD.match(text, pos)
         sign, num, slash, den = head.groups()
         if pairs and not sign:
             raise _error(text, pos, "expected '+' or '-'", got=True)
-        coeff: Coefficient = 1 if num is None else _int(num)
+        coeff, d = 1 if num is None else _int(num), None
         if slash:
             if not den:
                 raise _error(text, head.start(4), "expected a number")
             if not (d := _int(den)):
                 raise ParseError("zero denominator", head.start(4))
-            coeff = Fraction(coeff, d)
+        scanned.append(d)
         if sign == "-":
             coeff = -coeff
         exps = [0] * len(index)
@@ -285,6 +284,8 @@ def _scan(text: str, varset: VariableSet) -> list[tuple[ExponentVector, Coeffici
             exps[index[name]] += _int(e) if caret else 1
             pos, star = factor.end(), True
         pairs.append((ev_make(exps), coeff))
+    if dens is None:
+        return list(zip(map(itemgetter(0), pairs), coefficients([c for _, c in pairs], scanned)))
     return pairs
 
 

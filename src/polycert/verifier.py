@@ -111,8 +111,8 @@ def verify(
     """Check 0 = (-1)f + sum lambda_i f_i by a single streaming merge, counted."""
     with count_ops() as counters:
         witness = find_witness(cert, direction)
-    input_terms = len(cert.f.terms) + sum(
-        len(lam.terms) + len(g.terms) for lam, g in cert.pairs
+    input_terms = poly.term_count(cert.f) + sum(
+        poly.term_count(lam) + poly.term_count(g) for lam, g in cert.pairs
     )
     stats = VerifyStats(counters, input_terms + counters.heap_peak)
     return VerifyResult(witness is None, witness, stats)

@@ -94,6 +94,12 @@ def test_only_poly_names_the_held_columns():
     assert users == {"poly"}
 
 
+def test_textio_builds_no_fraction():
+    # the parser keeps numerators and denominators: only poly makes a parsed section's Fractions
+    assert "Fraction" not in set(_names(SRC / "textio.py"))
+    assert not [name for name in _imported_modules(SRC / "textio.py") if "fractions" in name]
+
+
 def test_the_public_names_stay_the_same():
     # a name moved between modules stays exported from the package
     assert sorted(polycert.__all__) == [
