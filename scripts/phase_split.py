@@ -16,9 +16,12 @@ over those ops:
 - ``find_witness_s``: the uncounted ``find_witness`` of each op
 
 It takes the ``mul`` pool's direct ``mul`` ops too, their factors parsed
-once, and times two more phases:
+once, and times three more phases:
 
-- ``mul_heap_s``: the ``mul_heap`` product of each op
+- ``mul_heap_s``: the ``mul_heap`` product of each op, outside any counter
+  scope, where a dict sums each product
+- ``mul_heap_counted_s``: the same products inside one ``count_ops`` scope,
+  where the heap merges them with its counts
 - ``print_s``: ``print_poly`` of each op's product, each made once
 
 and the ``mul`` pool's direct ``bigcoeff`` verify ops, whose certificates
@@ -55,8 +58,9 @@ sys.path.insert(1, str(ROOT / "perfbench"))
 sys.dont_write_bytecode = True  # the pool's modules are imported, never cached
 
 import gen  # noqa: E402
-from polycert import MonomialOrder, ScanDirection, VariableSet, find_witness  # noqa: E402
-from polycert import mul_heap, parse_certificate, parse_poly, print_poly, verify  # noqa: E402
+from polycert import MonomialOrder, ScanDirection, VariableSet, count_ops  # noqa: E402
+from polycert import find_witness, mul_heap, parse_certificate, parse_poly  # noqa: E402
+from polycert import print_poly, verify  # noqa: E402
 from polycert.verifier import _checked_sources  # noqa: E402
 
 
@@ -123,13 +127,18 @@ def main() -> None:
         for p, q, _ in factors:
             mul_heap(p, q)
 
+    def multiply_counted():
+        with count_ops():
+            multiply()
+
     def printed():
         for prod, varset in products:
             print_poly(prod, varset)
 
     phases = {"parse_s": parse, "setup_s": setup(), "setup_max_s": setup(True),
               "setup_min_s": setup(False), "verify_s": counted, "find_witness_s": uncounted,
-              "mul_heap_s": multiply, "print_s": printed, "rational_parse_s": rational_parse,
+              "mul_heap_s": multiply, "mul_heap_counted_s": multiply_counted,
+              "print_s": printed, "rational_parse_s": rational_parse,
               "rational_find_witness_s": rational_find_witness}
     fresh = {"rational_find_witness_s"}  # set up anew, untimed, before each pass
     best = dict.fromkeys(phases, float("inf"))

@@ -11,7 +11,7 @@ bucket cascades into bucket k+1, and so on.  The overflow check runs after
 the merge.  The first merge is a checked :func:`~polycert.poly.add`, so it
 checks p (:func:`~polycert.poly.checked_keys`) before any bucket changes.
 
-:func:`mul_heap_gb` merges f times each bucket over its route's fold size
+:func:`mul_heap_gb` multiplies f by each bucket over its route's fold size
 and f times the sum of the others, added as :meth:`Geobucket.normalize` adds.
 """
 
@@ -22,7 +22,7 @@ from math import inf
 
 from . import poly
 from .errors import DomainError
-from .heapmul import collect, merge_sources
+from .heapmul import _set_up, collect
 from .monomial import MonomialOrder
 from .poly import Polynomial
 
@@ -111,4 +111,4 @@ def mul_heap_gb(
             GbRoute.HYBRID: hybrid_threshold}[GbRoute(route)]
     small, large = g._fold(size)
     pairs = [(f, bk) for bk in large + [small]]
-    return collect(f.order, *merge_sources(pairs, f.order))
+    return collect(f.order, lambda descending: _set_up(pairs, f.order, descending))

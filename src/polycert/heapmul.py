@@ -36,24 +36,28 @@ Fractions are merged as given.  Either way the counts are the same and the
 results compare equal (a yielded sum of int products alone, in a merge with
 a Fraction, is a Fraction over 1).
 
-Every product in the package is a thin consumer of the engine, and
-:func:`collect` holds it as columns: :func:`mul_heap` merges the single pair
-(f, g) with at most #f heap keys and #f*#g extractions;
-:func:`~polycert.geobucket.mul_heap_gb` merges pairs (f, bucket); the
-certificate verifier merges (f_i, lambda_i) for every pair and (-1, f).
+The certificate verifier merges (f_i, lambda_i) for every pair and (-1, f).
+A product, built whole by :func:`collect` (:func:`mul_heap`,
+:func:`~polycert.geobucket.mul_heap_gb`, ``combine``), is merged inside a
+counter scope, with its pinned counts (for :func:`mul_heap`, at most #f heap
+keys and #f*#g extractions).  Outside one the heap's few live entries, scan
+order and early stop pay nothing, so a dict sums the products by key
+(Fateman, SIGSAM Bull. 37(1), 2003) unless a key could reach 2^61 - 1.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush, heapreplace
+from itertools import repeat
 from math import lcm
 from operator import add, attrgetter, itemgetter, mul, neg
-from typing import Iterable, Iterator
+from sys import hash_info
+from typing import Callable, Iterable, Iterator
 
 from . import poly
 from .counters import _scopes, tally
-from .monomial import ExponentVector, MonomialOrder, ev_add
+from .monomial import ExponentVector, MonomialOrder, ev_add, unpack_columns
 from .poly import Coefficient, Polynomial, Term, terms_unchecked
 
 _UNCOUNTED = heappop, heappush, heapreplace  # C heapq
@@ -145,16 +149,21 @@ def merge_sources(
     each streamed key list once; then a key rises along b_k's scan-order
     list, and along a_k's max-first; min-first, a_k's keys fall.  Counts
     nothing."""
+    return _set_up(pairs, order, descending)[:2]
+
+
+def _set_up(pairs: Iterable, order: MonomialOrder, descending: bool) -> tuple:
+    """:func:`merge_sources`, and the shift of its keys and their sums."""
     pairs = list(pairs)
     polys = [p for pair in pairs for p in pair]
-    keys, fractions = poly.checked_keys(order, polys, 2)
+    keys, fractions, shift = poly._checked_keys(order, polys, 2)
     live = [(a, b, ka, kb) for (a, b), ka, kb in zip(pairs, keys[::2], keys[1::2]) if ka and kb]
     # a merge with a Fraction runs on integer numerators over one denominator
     over = fractions and _over_one_den([(a, b) for a, b, _, _ in live])
     den, sides = over or (None, [(a.terms, b.terms) for a, b, _, _ in live])
     sources = [[ta, tb, list(map(neg, ka)), list(map(neg, kb))] if descending
                else [ta, tb[::-1], ka, kb[::-1]] for (ta, tb), (_, _, ka, kb) in zip(sides, live)]
-    return sources, den
+    return sources, den, shift
 
 
 def _over_one_den(pairs: list[tuple[Polynomial, Polynomial]]) -> tuple[int, list] | None:
@@ -252,13 +261,29 @@ def merge_streams(
     tally(adds, pops, pops, peak, port.comparisons)
 
 
-def collect(
-    order: MonomialOrder, sources: list[list], den: int | None = None
-) -> Polynomial:
-    """The polynomial of the terms :func:`merge_streams` yields, held as
-    columns (:func:`~polycert.poly.poly_from_columns`): each exponent column
-    is the sum of its factors' columns, added in C."""
-    terms = list(merge_streams(sources, den))
+def collect(order: MonomialOrder, set_up: Callable[[bool], tuple]) -> Polynomial:
+    """sum a_k * b_k over the pairs that ``set_up(descending)`` checks and
+    sets up (:func:`_set_up`), held as columns.  Outside a counter scope, when
+    no product's key reaches ``sys.hash_info.modulus``, a dict sums the
+    products by key, and the keys unpack (:func:`~polycert.monomial.unpack_columns`);
+    else the merge's terms are held, each exponent column the sum of its factors'."""
+    scoped = bool(_scopes.get())
+    sources, den, shift = set_up(scoped)  # max-first only for the counted heap
+    largest = 0 if scoped else max((ka[0] + kb[-1] for _, _, ka, kb in sources), default=0)
+    if not scoped and largest < hash_info.modulus:  # below it, distinct ints hash distinctly
+        acc: dict[int, Coefficient] = {}
+        get = acc.get
+        for ta, tb, ka, kb in sources:
+            cb = [t.coeff for t in tb]
+            for a, k in zip(ta, ka):  # ``mul``, as int.__mul__(Fraction) is NotImplemented
+                for key, c in zip(map(add, repeat(k), kb), map(mul, repeat(a.coeff), cb)):
+                    acc[key] = get(key, 0) + c
+        keys = sorted(filter(acc.__getitem__, acc), reverse=True)
+        coeffs = [Fraction(acc[k], den) for k in keys] if den else list(map(acc.__getitem__, keys))
+        tally()  # as an unscoped merge's one tally, into no scope
+        width = len(sources[0][0][0].degrees.exponents) if keys else 0
+        return poly.poly_from_columns(order, unpack_columns(order, keys, shift, width), coeffs)
+    terms = list(merge_streams(sources, den))[:: 1 if scoped else -1]  # min-first: reversed
     exps = attrgetter("exponents")
     ea, eb = (list(map(exps, map(itemgetter(k), terms))) for k in (0, 1))
     width = len(ea[0]) if terms else 0  # the set-up checked one dimension
@@ -267,5 +292,5 @@ def collect(
 
 
 def mul_heap(f: Polynomial, g: Polynomial) -> Polynomial:
-    """Johnson multiplication: f supplies the streams, g the term list."""
-    return collect(f.order, *merge_sources([(f, g)], f.order))
+    """Johnson multiplication, f giving the streams and g the term list (:func:`collect`)."""
+    return collect(f.order, lambda descending: _set_up([(f, g)], f.order, descending))

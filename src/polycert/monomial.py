@@ -13,10 +13,11 @@ exponents, so :func:`key_packer` packs it into one int per monomial as a
 dot product of the exponents with one cached weight vector per order and
 base, the packed key of each unit vector; sorts wrap that int in a counting
 key only inside a counter scope.  :func:`pack_columns` packs the same keys
-from exponents given column by column.  Exponents, totals and keys are plain
-ints, so any degree (x^1000000000 and friends) is fine; :func:`int_str`
-prints any of them past the int-string digit limit too, as :func:`num_repr`
-prints the repr of a coefficient.
+from exponents given column by column; :func:`unpack_columns` reads them
+back.  Exponents, totals and keys are plain ints, so any degree
+(x^1000000000 and friends) is fine; :func:`int_str` prints any of them past
+the int-string digit limit too, as :func:`num_repr` prints the repr of a
+coefficient.
 :func:`ev_unchecked` builds an exponent vector without the dataclass
 ``__init__`` where the exponents are known to be valid, and
 :func:`evs_unchecked` builds a column of them.
@@ -30,7 +31,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import repeat
-from operator import add, mul
+from operator import add, and_, mul, neg, rshift
 
 from .errors import DimensionError, DomainError
 
@@ -81,6 +82,17 @@ def pack_columns(order: MonomialOrder, columns: list[list[int]], shift: int) -> 
     for column, weight in zip(columns, weights):
         keys = list(map(add, keys, map(mul, column, repeat(weight))))
     return keys
+
+
+def unpack_columns(order: MonomialOrder, keys: list[int], shift: int, n: int) -> list[list[int]]:
+    """The exponent columns of the n-variable monomials whose keys at `shift`
+    are `keys`: a shift and a mask per field, in C.  A grevlex key is its
+    total's field less the exponents' fields, so the low fields of its
+    negation (ints shift as two's complement) are the exponents, x_1 lowest."""
+    mask, places = (1 << shift) - 1, range(n - 1, -1, -1)  # x_1 highest
+    if order is MonomialOrder.GREVLEX:
+        keys, places = list(map(neg, keys)), range(n)
+    return [list(map(and_, map(rshift, keys, repeat(shift * p)), repeat(mask))) for p in places]
 
 
 @lru_cache(maxsize=64)

@@ -268,6 +268,11 @@ def checked_keys(
     shift, when their totals fit it; else every key is packed here.  Only a
     kept polynomial's first monomial joins the dimension check; its order,
     descent and coefficients (but a parsed section's numerators) are checked."""
+    return _checked_keys(order, polys, summands)[:2]
+
+
+def _checked_keys(order: MonomialOrder, polys: list[Polynomial], summands: int) -> tuple:
+    """:func:`checked_keys`, and the shift the keys are packed at."""
     for p in polys:
         if p.order is not order:
             raise OrderMismatchError(f"{p.order} vs {order}")
@@ -281,13 +286,14 @@ def checked_keys(
         if (summands * max(ev.total for ev in evs)).bit_length() > shift:
             shift, kept = 0, [None] * len(polys)  # too narrow: pack all
             evs = [t.degrees for p in polys for t in p.terms]
-    pack = key_packer(order, evs, summands, shift or 0)
+    shift = max(shift or 0, (summands * max((ev.total for ev in evs), default=0)).bit_length())
+    pack = key_packer(order, evs, summands, shift)
     keys = [[pack(t.degrees) for t in p.terms] if k is None else k for p, k in zip(polys, kept)]
     if not all(all(map(gt, k, k[1:])) for k in keys):
         raise FormatError("terms not strictly decreasing")
     rational = any(map(attrgetter("_fractions"), polys))  # parsed int numerators pass
     coeffs = [t.coeff for p in polys if not rational or p._fractions is None for t in p.terms]
-    return keys, check_coefficients(coeffs) or rational
+    return keys, check_coefficients(coeffs) or rational, shift
 
 
 def check_coefficients(coeffs: list) -> bool:

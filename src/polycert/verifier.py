@@ -39,7 +39,7 @@ from .counters import OpCounters, count_ops
 from .errors import (
     CertificateFormatError, DimensionError, FormatError, OrderMismatchError,
 )
-from .heapmul import collect, merge_sources, merge_streams
+from .heapmul import _set_up, collect, merge_streams
 from .monomial import ExponentVector, ev_add, ev_make, num_repr
 from .poly import Certificate, Coefficient, Polynomial, Term
 
@@ -68,9 +68,9 @@ class VerifyResult:
 
 def _checked_sources(
     cert: Certificate, descending: bool, residual: bool
-) -> tuple[list[list], int | None]:
+) -> tuple[list[list], int | None, int]:
     """Set up the merge of sum lambda_i f_i, with (-1)*f as its last source
-    when `residual`; :func:`~polycert.heapmul.merge_sources` checks `cert`.
+    when `residual`, and its keys' shift; ``heapmul._set_up`` checks `cert`.
 
     The constant -1 is always given, so the dimension must be ``len(varset)``;
     unless `residual`, f is given beside an empty factor, checked but not
@@ -85,7 +85,7 @@ def _checked_sources(
     pairs = [(f_i, lam_i) for lam_i, f_i in cert.pairs]
     pairs += [(minus_one, cert.f)] if residual else [(minus_one, zero), (cert.f, zero)]
     try:
-        return merge_sources(pairs, cert.order, descending)
+        return _set_up(pairs, cert.order, descending)
     except OrderMismatchError:
         raise CertificateFormatError("mixed monomial orders in certificate") from None
     except DimensionError:
@@ -100,7 +100,7 @@ def find_witness(
     """The first nonzero term of (-1)f + sum lambda_i f_i in scan order, or
     None when the certificate holds.  Opens no counter scope, so with none
     open the merge sifts with C heapq and counts nothing."""
-    setup = _checked_sources(cert, direction is ScanDirection.MAX_FIRST, True)
+    setup = _checked_sources(cert, direction is ScanDirection.MAX_FIRST, True)[:2]
     # the first nonzero residual term is the witness; the merge stops there
     return next(((ev_add(da, db), c) for da, db, c in merge_streams(*setup)), None)
 
@@ -119,8 +119,8 @@ def verify(
 
 
 def combine(cert: Certificate) -> Polynomial:
-    """Materialize sum lambda_i f_i term by term, greatest monomial first."""
-    return collect(cert.order, *_checked_sources(cert, True, False))
+    """Materialize sum lambda_i f_i (:func:`~polycert.heapmul.collect`)."""
+    return collect(cert.order, lambda descending: _checked_sources(cert, descending, False))
 
 
 def verify_naive(cert: Certificate) -> VerifyResult:

@@ -22,6 +22,7 @@ def test_phase_split_prints_each_phase_and_writes_nothing():
     assert (report["seed"], report["ops"], report["repeat"]) == (1, 3, 2)
     assert 1 <= report["certificates"] <= 3
     for phase in ("parse_s", "setup_s", "setup_max_s", "setup_min_s", "verify_s",
-                  "find_witness_s", "mul_heap_s", "print_s", "rational_parse_s",
+                  "find_witness_s", "mul_heap_s", "mul_heap_counted_s", "print_s",
+                  "rational_parse_s",
                   "rational_find_witness_s"):
         assert report[phase] > 0
