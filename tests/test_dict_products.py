@@ -191,9 +191,6 @@ def test_unpack_columns_reads_back_pack_columns(order, rows, wider):
     assert unpack_columns(order, pack_columns(order, columns, shift), shift, 3) == columns
 
 
-LEX1 = VariableSet(("x",))
-
-
 def univariate(*terms):
     """A one-variable lex polynomial of (exponent, coefficient) terms."""
     return poly_from_terms(MonomialOrder.LEX, [(ev_make((e,)), c) for e, c in terms])
