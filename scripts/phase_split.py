@@ -34,7 +34,10 @@ have rational cofactors, and times two more:
   built before it
 
 The phases take turns, one pass each per round, and each figure is the best
-of ``--repeat`` rounds, in seconds.  The script prints one JSON line:
+of ``--repeat`` rounds, in seconds.  Before the rounds, one untimed pass
+under ``tracemalloc`` reads ``parse_live_mib``: the MiB still allocated
+once every distinct ``verify`` certificate text is parsed, with all of the
+parsed certificates held.  The script prints one JSON line:
 
     python3 scripts/phase_split.py [--seed 1] [--repeat 7] [--ops N]
 
@@ -49,6 +52,7 @@ import argparse
 import gc
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
@@ -99,6 +103,15 @@ def main() -> None:
         for text in texts.values():
             parse_certificate(text)
 
+    def parse_live_mib() -> float:
+        gc.collect()
+        tracemalloc.start()
+        held = [parse_certificate(text) for text in texts.values()]
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.stop()
+        del held
+        return live / 2**20
+
     def setup(descending=None):
         def run():
             for cert, direction in jobs:
@@ -141,13 +154,14 @@ def main() -> None:
               "print_s": printed, "rational_parse_s": rational_parse,
               "rational_find_witness_s": rational_find_witness}
     fresh = {"rational_find_witness_s"}  # set up anew, untimed, before each pass
+    live_mib = parse_live_mib()
     best = dict.fromkeys(phases, float("inf"))
     for _ in range(args.repeat):
         for name, call in phases.items():
             best[name] = min(best[name], timed(call() if name in fresh else call))
     print(json.dumps({"seed": args.seed, "certificates": len(texts), "ops": len(jobs),
                       "mul_ops": len(factors), "rational_ops": len(rational_ops),
-                      "repeat": args.repeat,
+                      "repeat": args.repeat, "parse_live_mib": round(live_mib, 2),
                       **{k: round(v, 4) for k, v in best.items()}}))
 
 

@@ -1,29 +1,31 @@
-"""Distributed sparse polynomials as strictly sorted term lists.
+"""Distributed sparse polynomials: sorted terms, or packed keys and coefficients.
 
 A polynomial is a tuple of terms, strictly decreasing under its monomial
 order, with no zero coefficients; the empty tuple is zero.  Coefficients are
 exact: Python ints or :class:`fractions.Fraction` (both arbitrary precision,
 and both nontrivial rings, so the degenerate 0=1 ring never arises).
 
+A polynomial not built from terms is held in one form, a :class:`_Held`
+record of packed keys and coefficient columns: :func:`polys_from_runs`
+holds each parsed run that is in order, and :func:`poly_from_keys` each
+product.  Its terms are built only when first read; :func:`term_count`,
+:func:`columns` and the merge read the record, and keys are decoded on
+demand (:func:`monomials`, :func:`columns`).
+
 Every kernel checks its inputs, uncounted, in :func:`checked_keys`, which
-returns their packed keys: :func:`add` is the classic sorted merge on them.
-Every merge step in which both inputs are nonempty costs exactly one
+returns their packed keys: a held polynomial's own, when the `top` of every
+input fits their shift.  Keys order as the monomial order; a max-first
+merge negates its own copy.  :func:`add`, :func:`negate`, :func:`scale` and
+the geobucket work on terms; :func:`add` is the classic sorted merge on the
+keys.  Every merge step in which both inputs are nonempty costs exactly one
 monomial comparison, so adding disjoint supports of sizes m and n costs at
 most m+n-1 comparisons, tallied once.
 
 :func:`poly_from_terms` sorts and combines any term sequence, as
 :func:`read_sorted` does a stream without zeros (n-1 comparisons when it is
 sorted; :func:`read_naive` is acceptance criterion 8's quadratic baseline).
-:func:`polys_from_runs` builds many polynomials from exponent and
-coefficient columns, packing each key once, at the width of a merge of all
-of them, and takes a run already in order as it stands, counted as that sort
-would count it; such a polynomial keeps its keys, and :func:`checked_keys`
-takes them instead of packing again.  Keys always order as the monomial
-order; a max-first merge negates its own copy.  :func:`poly_from_columns`
-holds a product as columns, and a parsed rational run holds its numerators
-and denominators: each builds its terms only when first read.
-:func:`columns` reads any polynomial's columns.  A :class:`Certificate`
-pairs the cofactors lambda_i with the f_i of f = sum_i lambda_i * f_i.
+A :class:`Certificate` pairs the cofactors lambda_i with the f_i of
+f = sum_i lambda_i * f_i.
 """
 
 from __future__ import annotations
@@ -32,14 +34,14 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, pairwise, repeat, starmap
-from operator import attrgetter, gt, itemgetter
-from typing import Iterable, Union
+from operator import gt, itemgetter
+from typing import Iterable, NamedTuple, Union
 
 from .counters import key_factory, tally
 from .errors import DimensionError, DomainError, EmptyPolynomialError, FormatError
 from .errors import KernelError, OrderMismatchError
 from .monomial import ExponentVector, MonomialOrder, VariableSet, ev_add
-from .monomial import evs_unchecked, key_packer, num_repr, pack_columns
+from .monomial import evs_unchecked, key_packer, num_repr, pack_columns, unpack_columns
 
 Coefficient = Union[int, Fraction]
 
@@ -75,39 +77,39 @@ def terms_unchecked(degrees: list[ExponentVector], coeffs: list[Coefficient]) ->
     return terms
 
 
+class _Held(NamedTuple):
+    """Term i has key ``keys[i]``, packed at `shift` in `width` variables,
+    and coefficient ``nums[i]`` over ``dens[i]`` (:func:`coefficients`); no
+    term's total degree exceeds `top`."""
+
+    shift: int
+    keys: list[int]
+    width: int
+    top: int
+    nums: list
+    dens: list | None
+
+
 @dataclass(frozen=True)
 class Polynomial:
-    """A polynomial that :func:`polys_from_runs` built as it stands also
-    keeps, outside its fields, ``(shift, keys)``: its terms' keys, packed at
-    `shift` for sums of two keys (:func:`checked_keys`); equality, repr and
-    :func:`dataclasses.replace` ignore them.
-
-    One that :func:`poly_from_columns` built holds, outside its fields,
-    ``(exponent columns, coefficients)`` instead of its `terms`, which are
-    built when first read and then kept beside them; every field reads, and
-    so compares, hashes, prints, copies and pickles, as in terms form.  A
-    rational run that :func:`polys_from_runs` takes as it stands holds
-    ``(monomials, integer numerators, denominators)`` instead, in
-    `_fractions`, and makes one Fraction a term on first read."""
+    """A held polynomial keeps, outside its fields, a :class:`_Held` record
+    instead of its `terms`, which are built when first read and then kept
+    beside it; every field reads, and so compares, hashes, prints, copies
+    and pickles, as in terms form.  Its `_keys` read ``(shift, keys)``."""
 
     order: MonomialOrder
     terms: tuple[Term, ...]
-    _keys = None  # not a field: every other polynomial keeps no keys
     _columns = None  # not a field: every other polynomial is held as terms
-    _fractions = None  # not a field: nor as a parsed rational run's columns
+    _keys = property(lambda self: self._columns and self._columns[:2])  # (shift, keys)
 
     def __getattr__(self, name: str):
-        """The missing `terms` field of a polynomial held as columns: built
-        once, and a read that races the first gets the same tuple."""
-        held, parsed = self._columns, self._fractions
-        if name != "terms" or held is None and parsed is None:
+        """The missing `terms` field of a held polynomial: built once, and a
+        read that races the first gets the same tuple."""
+        held = self._columns
+        if name != "terms" or held is None:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        if parsed is not None:
-            terms = terms_unchecked(parsed[0], coefficients(*parsed[1:]))
-        else:
-            exps, coeffs = held
-            rows = list(zip(*exps)) if exps else [()] * len(coeffs)
-            terms = terms_unchecked(evs_unchecked(rows, list(map(sum, rows))), coeffs)
+        degrees = monomials(self.order, held.shift, held.width, held.keys)
+        terms = terms_unchecked(degrees, coefficients(held.nums, held.dens))
         return self.__dict__.setdefault("terms", tuple(terms))
 
     def is_zero(self) -> bool:
@@ -149,79 +151,76 @@ def polys_from_runs(
 ) -> list[Polynomial]:
     """:func:`poly_from_terms` of each run of terms ``a:b`` between
     consecutive `bounds`, term i with exponents ``columns[v][i]`` (one
-    column per variable, left empty once packed) and coefficient
-    ``nums[i]`` over ``dens[i]`` (:func:`coefficients`).
+    column per variable) and coefficient ``nums[i]`` over ``dens[i]``
+    (:func:`coefficients`).
 
     Every term is packed once, at the `shift` for sums of two keys of total
-    degree up to any run's, so that a merge of these polynomials, and of
-    others whose totals fit that shift, takes their keys as they are
-    (:func:`checked_keys`).  A run whose keys strictly decrease, with no
-    zero numerator, is a polynomial as it stands, which keeps
-    ``(shift, keys[a:b])``, tallied as the n-1 comparisons that
+    degree up to any run's, so that a merge of these polynomials takes
+    their keys as they are (:func:`checked_keys`).  A run whose keys
+    strictly decrease, with no zero numerator, is held as it stands
+    (:func:`poly_from_keys`), tallied as the n-1 comparisons that
     ``poly_from_terms``' sort makes on it (a reversed sort of a strictly
-    decreasing list scans one ascending run), held as columns if a term has
-    a denominator (see :class:`Polynomial`); any other run goes through
-    ``poly_from_terms`` and keeps no keys."""
-    exps = list(zip(*columns))
-    totals = list(map(sum, exps))
+    decreasing list scans one ascending run); any other run is sorted."""
+    totals = list(map(sum, zip(*columns)))
     shift = (2 * max(totals, default=0)).bit_length()
     keys = pack_columns(order, columns, shift)
-    columns.clear()
     descending = list(map(gt, keys, islice(keys, 1, None)))
-    degrees = evs_unchecked(exps, totals)
-    del exps, totals
-    terms = terms_unchecked(degrees, nums)
     polys, comparisons = [], 0
     for a, b in pairwise(bounds):
         if all(descending[a : b - 1]) and all(nums[a:b]):
-            if any(dens[a:b]):
-                p = _new(Polynomial)
-                p.__dict__.update(order=order, _fractions=(degrees[a:b], nums[a:b], dens[a:b]))
-            else:
-                p = Polynomial(order, tuple(terms[a:b]))
-            object.__setattr__(p, "_keys", (shift, keys[a:b]))  # past frozen
+            held = dens[a:b] if any(dens[a:b]) else None
+            polys.append(poly_from_keys(order, shift, keys[a:b], len(columns),
+                                        max(totals[a:b], default=0), nums[a:b], held))
             comparisons += b - a - 1
         else:
-            p = poly_from_terms(order, zip(degrees[a:b], coefficients(nums[a:b], dens[a:b])))
-        polys.append(p)
+            degrees = evs_unchecked(list(zip(*(c[a:b] for c in columns))), totals[a:b])
+            polys.append(poly_from_terms(order, zip(degrees, coefficients(nums[a:b], dens[a:b]))))
     tally(comparisons=comparisons)
     return polys
+
+
+def poly_from_keys(order: MonomialOrder, shift: int, keys: list[int], width: int, top: int,
+                   nums: list, dens: list | None) -> Polynomial:
+    """The polynomial held as strictly decreasing `keys` and nonzero
+    coefficients `nums` over `dens` (see :class:`_Held`)."""
+    p = _new(Polynomial)  # its dict is set past frozen
+    p.__dict__.update(order=order, _columns=_Held(shift, keys, width, top, nums, dens))
+    return p
 
 
 def poly_from_columns(
     order: MonomialOrder, exps: list[list[int]], coeffs: list[Coefficient]
 ) -> Polynomial:
     """The polynomial whose term i has exponents ``exps[v][i]`` (one column
-    per variable) and coefficient ``coeffs[i]``, strictly decreasing with no
-    zero coefficient, held as those columns (see :class:`Polynomial`)."""
-    p = _new(Polynomial)
-    p.__dict__.update(order=order, _columns=(exps, coeffs))  # past frozen
-    return p
+    per variable) and coefficient ``coeffs[i]``: :func:`polys_from_runs` of
+    one run, held as its keys when in order with no zero coefficient."""
+    return polys_from_runs(order, exps, coeffs, [None] * len(coeffs), [0, len(coeffs)])[0]
 
 
-def coefficients(nums: list[int], dens: list[int | None]) -> list[Coefficient]:
-    """Each of `nums` over its denominator in `dens`, or as it is where that is None."""
+def coefficients(nums: list, dens: list | None) -> list[Coefficient]:
+    """Each of `nums` over its denominator in `dens`; as it is where either is None."""
+    if dens is None:
+        return nums
     return [n if d is None else Fraction(n, d) for n, d in zip(nums, dens)]
 
 
-def fraction_columns(p: Polynomial) -> tuple:
-    """A nonempty p's monomials, numerators and denominators: a parsed section's as held."""
-    if p._fractions is None:
-        return tuple(zip(*[(t.degrees, t.coeff.numerator, t.coeff.denominator) for t in p.terms]))
-    degrees, nums, dens = p._fractions
-    return degrees, nums, [1 if d is None else d for d in dens]
+def monomials(order: MonomialOrder, shift: int, width: int, keys: list) -> list[ExponentVector]:
+    """The `width`-variable monomials whose keys at `shift` are `keys`."""
+    exps = unpack_columns(order, keys, shift, width)
+    rows = list(zip(*exps)) if exps else [()] * len(keys)
+    return evs_unchecked(rows, list(map(sum, rows)))
 
 
 def columns(
     p: Polynomial, start: int = 0, stop: int | None = None
 ) -> tuple[list[list[int]], list[Coefficient]]:
     """The exponent columns, one per variable, and the coefficients of p's
-    terms ``start:stop``: sliced from those p is held as, or read off its
-    terms (:class:`DimensionError` if their lengths differ)."""
+    terms ``start:stop``: decoded from its keys if p is held, else read off
+    its terms (:class:`DimensionError` if their lengths differ)."""
     held = p._columns
     if held is not None:
-        exps, coeffs = held
-        return [column[start:stop] for column in exps], coeffs[start:stop]
+        return (unpack_columns(p.order, held.keys[start:stop], held.shift, held.width),
+                coefficients(held.nums[start:stop], held.dens and held.dens[start:stop]))
     terms = p.terms[start:stop]
     rows = [t.degrees.exponents for t in terms]
     if len(widths := set(map(len, rows))) > 1:
@@ -261,39 +260,39 @@ def checked_keys(
     each is in `order`, :class:`DimensionError` unless all have one
     dimension, :class:`FormatError` unless each strictly decreases, and
     :func:`check_coefficients`' error.  Zero coefficients pass; counts
-    nothing.
-
-    The polynomials that keep keys (:func:`polys_from_runs`) at the widest
-    kept shift give them as they are, and the others are packed at that
-    shift, when their totals fit it; else every key is packed here.  Only a
-    kept polynomial's first monomial joins the dimension check; its order,
-    descent and coefficients (but a parsed section's numerators) are checked."""
+    nothing.  The keys are packed at the widest shift of a held polynomial
+    when the `top` of every polynomial fits it (not a first term's total:
+    in lex a product's largest can sit on its last), and the held ones at
+    that shift give their own; else every key is packed here."""
     return _checked_keys(order, polys, summands)[:2]
 
 
 def _checked_keys(order: MonomialOrder, polys: list[Polynomial], summands: int) -> tuple:
-    """:func:`checked_keys`, and the shift the keys are packed at."""
+    """:func:`checked_keys`, the shift the keys are packed at, their one
+    width (0 if no polynomial has a term), and each polynomial's `top` and
+    coefficients as it holds them: values and None, or integer numerators
+    and their denominators (None for a term written without one)."""
     for p in polys:
         if p.order is not order:
             raise OrderMismatchError(f"{p.order} vs {order}")
-    held = [p._keys for p in polys]
-    shift = max((k[0] for k in held if k), default=None)
-    kept = [k[1] if k and k[0] == shift else None for k in held]
+    held = [p._columns for p in polys]
+    tops = [max((t.degrees.total for t in p.terms), default=0) if h is None else h.top
+            for p, h in zip(polys, held)]
+    shift = max([(summands * max(tops, default=0)).bit_length(), *(h.shift for h in held if h)])
+    kept = [h.keys if h and h.shift == shift else None for h in held]
     evs = [t.degrees for p, k in zip(polys, kept) if k is None for t in p.terms]
-    if shift is not None:  # the others take the kept shift, if they fit it
-        evs += [p.terms[0].degrees if p._fractions is None else p._fractions[0][0]
-                for p, k in zip(polys, kept) if k is not None]
-        if (summands * max(ev.total for ev in evs)).bit_length() > shift:
-            shift, kept = 0, [None] * len(polys)  # too narrow: pack all
-            evs = [t.degrees for p in polys for t in p.terms]
-    shift = max(shift or 0, (summands * max((ev.total for ev in evs), default=0)).bit_length())
+    widths = {len(ev.exponents) for ev in evs} | {h.width for h, k in zip(held, kept) if k}
+    if len(widths) > 1:
+        raise DimensionError("exponent vectors of mixed lengths")
     pack = key_packer(order, evs, summands, shift)
     keys = [[pack(t.degrees) for t in p.terms] if k is None else k for p, k in zip(polys, kept)]
-    if not all(all(map(gt, k, k[1:])) for k in keys):
+    if not all(all(map(gt, k, islice(k, 1, None))) for k in keys):
         raise FormatError("terms not strictly decreasing")
-    rational = any(map(attrgetter("_fractions"), polys))  # parsed int numerators pass
-    coeffs = [t.coeff for p in polys if not rational or p._fractions is None for t in p.terms]
-    return keys, check_coefficients(coeffs) or rational, shift
+    coeffs = [([t.coeff for t in p.terms], None) if h is None else (h.nums, h.dens)
+              for p, h in zip(polys, held)]
+    values = [c for nums, dens in coeffs if dens is None for c in nums]  # numerators pass
+    rational = check_coefficients(values) or any(dens is not None for _, dens in coeffs)
+    return keys, rational, shift, max(widths, default=0), tops, coeffs
 
 
 def check_coefficients(coeffs: list) -> bool:
@@ -381,9 +380,9 @@ def leading_term(p: Polynomial) -> Term:
 
 
 def term_count(p: Polynomial) -> int:
-    """How many terms p has; a polynomial held as columns builds none."""
-    held = p._columns or p._fractions
-    return len(p.terms if held is None else held[1])
+    """How many terms p has; a held polynomial builds none."""
+    held = p._columns
+    return len(p.terms if held is None else held.keys)
 
 
 def is_well_formed(p: Polynomial) -> bool:

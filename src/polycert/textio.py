@@ -28,13 +28,13 @@ scan reads it all.  Canonical text is a run of terms as :func:`print_poly`
 writes them, each one match of a pattern compiled once per variable set;
 ``findall`` takes them a slice at a time, and their exponent, signed
 numerator and denominator (None if none) columns are built in C (each looked
-up in a :class:`_Table`), so no Fraction is made.  The general scan's terms
-join the same columns, so each text is one run of them, and
-:func:`~polycert.poly.polys_from_runs` takes a run in order without zero
-terms as it stands (a rational one as columns) and sorts any other.
-:func:`parse_certificate` reads all of a certificate's sections, in section
-order, as runs of one such batch, whose keys are packed wide enough for the
-merge of the whole certificate.  The general scan
+up in a :class:`_Table`), so no Fraction, monomial or term is made.  The
+general scan's terms join the same columns, so each text is one run of
+them.  :func:`parse_certificate` reads all of a certificate's sections, in
+section order, as runs of one such batch, and
+:func:`~polycert.poly.polys_from_runs` packs their keys once, wide enough
+for the merge of the whole certificate, and holds each run in order
+without zero terms as its keys and coefficient columns.  The general scan
 (term head, factor, '*' patterns) accepts the whole grammar and is the only
 source of :class:`ParseError`, each with a position.  Coefficients are exact
 at any length: digit strings and integers beyond the interpreter's
@@ -43,8 +43,8 @@ Each distinct denominator is converted once per call, read or printed: a
 long number's conversion is quadratic in its length.
 
 :func:`print_poly` reads a polynomial's exponent and coefficient columns
-(:func:`~polycert.poly.columns`), ``_ROWS`` terms at a time, so a product
-held as columns prints without building a term.  It looks each exponent's
+(:func:`~polycert.poly.columns`: a held polynomial's keys decoded),
+``_ROWS`` terms at a time, and builds no term.  It looks each exponent's
 factor text up in a per-variable :class:`_Table` (:func:`_factor_tables`,
 cached per variable set) and joins a term's factors in C.
 """
@@ -191,8 +191,7 @@ def _parse_texts(texts: list[str], varset: VariableSet, order: MonomialOrder) ->
     strings die early.  Any other text is read by the general scan alone,
     once the terms of its canonical first slices are dropped, and its terms
     join the same columns; canonical text never raises.  Each text is one
-    run of the columns, and :func:`~polycert.poly.polys_from_runs` makes
-    every polynomial, packing their keys at one width."""
+    run of the columns (:func:`~polycert.poly.polys_from_runs`)."""
     pattern, whole = _term_pattern(varset.names), itemgetter(0)
     exps_by_var: list[list[int]] = [[] for _ in varset.names]
     nums, dens = [], []  # signed numerators; denominators, None where a term has none
@@ -301,11 +300,11 @@ def print_poly(p: Polynomial, varset: VariableSet) -> str:
     reparses to an equal one; a zero term prints as ``0*…``, which the
     parser drops.
 
-    p's exponent and coefficient columns (:func:`~polycert.poly.columns`,
-    so a product held as columns builds no term) are read ``_ROWS`` terms
-    at a time.  Each variable's factor text is looked up, in C, in a table
-    of that variable's exponents (:func:`_factor_tables`), each term's
-    factors are joined in C, and each distinct denominator is printed once.
+    p's exponent and coefficient columns (:func:`~polycert.poly.columns`)
+    are read ``_ROWS`` terms at a time.  Each variable's factor text is
+    looked up, in C, in a table of that variable's exponents
+    (:func:`_factor_tables`), each term's factors are joined in C, and each
+    distinct denominator is printed once.
     Before a chunk is printed, :class:`DimensionError` unless each of its
     terms has ``len(varset)`` exponents, and one pass of
     :func:`~polycert.poly.check_coefficients` (a float 1.0 must not print as

@@ -16,9 +16,8 @@ finds an error faster when the discrepancy sits at the small end.
 A certificate is checked by the merge's set-up
 (:func:`~polycert.heapmul.merge_sources`), which checks every polynomial it
 is given, streamed or not: one order, one dimension, strictly decreasing
-terms.  A polynomial that :func:`~polycert.textio.parse_certificate` read
-as it stands, whether its text was canonical or not, keeps the keys its
-parser packed, and the set-up takes them.
+terms.  It takes the keys and coefficient columns that a parsed section
+holds, so verifying builds no term: only the witness's key is decoded.
 The verifier keeps only the certificate rules: at least one pair, and a
 dimension of ``len(varset)``.  A malformed certificate raises
 :class:`CertificateFormatError`; :func:`verify`, :func:`combine` and
@@ -39,8 +38,8 @@ from .counters import OpCounters, count_ops
 from .errors import (
     CertificateFormatError, DimensionError, FormatError, OrderMismatchError,
 )
-from .heapmul import _set_up, collect, merge_streams
-from .monomial import ExponentVector, ev_add, ev_make, num_repr
+from .heapmul import _set_up, collect, merged_terms
+from .monomial import ExponentVector, ev_make, num_repr
 from .poly import Certificate, Coefficient, Polynomial, Term
 
 
@@ -66,18 +65,14 @@ class VerifyResult:
         return f"VerifyResult(valid={self.valid!r}, witness={w}, stats={self.stats!r})"
 
 
-def _checked_sources(
-    cert: Certificate, descending: bool, residual: bool
-) -> tuple[list[list], int | None, int]:
+def _checked_sources(cert: Certificate, descending: bool, residual: bool) -> tuple:
     """Set up the merge of sum lambda_i f_i, with (-1)*f as its last source
-    when `residual`, and its keys' shift; ``heapmul._set_up`` checks `cert`.
+    when `residual` (``heapmul._set_up``, which checks `cert`).
 
     The constant -1 is always given, so the dimension must be ``len(varset)``;
     unless `residual`, f is given beside an empty factor, checked but not
-    streamed.  The set-up's errors become
-    :class:`CertificateFormatError`, except a coefficient outside the
-    domain (``DomainError``).
-    """
+    streamed.  The set-up's errors become :class:`CertificateFormatError`,
+    except a coefficient outside the domain (``DomainError``)."""
     if not cert.pairs:
         raise CertificateFormatError("certificate needs at least one pair")
     zero = poly.zero(cert.order)
@@ -100,9 +95,10 @@ def find_witness(
     """The first nonzero term of (-1)f + sum lambda_i f_i in scan order, or
     None when the certificate holds.  Opens no counter scope, so with none
     open the merge sifts with C heapq and counts nothing."""
-    setup = _checked_sources(cert, direction is ScanDirection.MAX_FIRST, True)[:2]
+    descending = direction is ScanDirection.MAX_FIRST
+    set_up = _checked_sources(cert, descending, True)
     # the first nonzero residual term is the witness; the merge stops there
-    return next(((ev_add(da, db), c) for da, db, c in merge_streams(*setup)), None)
+    return next(merged_terms(cert.order, descending, set_up), None)
 
 
 def verify(

@@ -254,6 +254,25 @@ def test_a_product_of_no_variables_has_its_terms():
     assert unbuilt(prod) and prod.terms == (Term(one, -15),)
 
 
+def test_a_product_too_wide_for_its_own_keys_is_packed_anew(order):
+    # x + y^4 merges at shift 4, and P = (x + y^4)^2 keeps its keys at that
+    # shift: its largest total, 8, fits, but a sum of two of its keys needs
+    # one more bit.  In lex that total sits on P's last term, not its first.
+    f = poly_from_terms(order, [(ev_make((1, 0, 0)), 1), (ev_make((0, 4, 0)), 1)])
+    square = lambda: mul_heap(f, f)  # noqa: E731
+    copied = by_hand(square())
+    assert square()._keys[0] == 4 and max(t.degrees.total for t in copied.terms) == 8
+    assert copied.terms[-1 if order is ORDERS[0] else 0].degrees.exponents == (0, 8, 0)
+    for kernel in (mul_heap, add):
+        assert counted(kernel, square(), square()) == counted(kernel, copied, copied)
+    assert ((0, 16, 0), 1) in counted(mul_heap, square(), square())[0]
+    cert = Certificate(VARS, order, mul_heap(square(), square()), ((square(), square()),))
+    copied_cert = Certificate(VARS, order, by_hand(cert.f), ((copied, copied),))
+    for direction in ScanDirection:
+        assert counted(verify, cert, direction) == counted(verify, copied_cert, direction)
+        assert verify(cert, direction).valid
+
+
 def test_a_polynomial_of_mixed_dimensions_is_not_printed():
     # each chunk's terms are read a column at a time, so every term must fit the columns
     lex = ORDERS[0]

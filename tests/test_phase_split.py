@@ -23,6 +23,5 @@ def test_phase_split_prints_each_phase_and_writes_nothing():
     assert 1 <= report["certificates"] <= 3
     for phase in ("parse_s", "setup_s", "setup_max_s", "setup_min_s", "verify_s",
                   "find_witness_s", "mul_heap_s", "mul_heap_counted_s", "print_s",
-                  "rational_parse_s",
-                  "rational_find_witness_s"):
+                  "rational_parse_s", "rational_find_witness_s", "parse_live_mib"):
         assert report[phase] > 0

@@ -201,8 +201,10 @@ def test_coprime_denominators_keep_fraction_coefficients(big):
     (sources, den), pairs = sources_of("coprime", big)
     assert den is None
     for (a, b, _, _), (g, lam) in zip(sources, pairs):
-        assert a is g.terms and b is lam.terms  # as given: Fractions
-        assert all(type(t.coeff) is Fraction for t in b)
+        # each side's coefficient column, as given: Fractions
+        assert [(c, type(c)) for c in a] == [(t.coeff, type(t.coeff)) for t in g.terms]
+        assert [(c, type(c)) for c in b] == [(t.coeff, type(t.coeff)) for t in lam.terms]
+        assert all(type(c) is Fraction for c in b)
     # a certificate over them too, though its f's denominator is as long as
     # the common one would be
     f = zero(ORDERS[1])
@@ -233,11 +235,11 @@ def test_shared_denominator_merges_integer_numerators(kind, big):
     (sources, den), pairs = sources_of(kind, big)
     assert den == den_lcm(*(lam for _, lam in pairs)) == (BIG_DEN if big else 12)
     for (a, b, _, _), (g, lam) in zip(sources, pairs):
-        assert all(type(t.coeff) is int for t in a + b)
+        assert all(type(c) is int for c in a + b)  # coefficient columns of numerators
         # each product is den times its value
         for s, u in zip(a, g.terms):
             for t, v in zip(b, lam.terms):
-                assert Fraction(s.coeff * t.coeff, den) == u.coeff * v.coeff
+                assert Fraction(s * t, den) == u.coeff * v.coeff
 
 
 @pytest.mark.parametrize("bad", [0.5, Decimal("1.5")])

@@ -191,11 +191,14 @@ def test_merging_a_parsed_rational_certificate_builds_no_section(order, spaced, 
     text, built = shared_den_certificate(order, spaced, den)
     for run in (find_witness, verify):
         cert = parse_certificate(text)
-        rational = [cert.f, *(lam for lam, _ in cert.pairs)]
-        assert all("terms" not in p.__dict__ for p in rational)  # held as columns
+        sections = [cert.f, *(p for pair in cert.pairs for p in pair)]  # the g[i] are int
+        assert all("terms" not in p.__dict__ for p in sections)  # held as columns
         result = run(cert, direction)
         assert result is None if run is find_witness else result.valid
-        assert all("terms" not in p.__dict__ for p in rational)
+        assert all("terms" not in p.__dict__ for p in sections)
+    total = combine(parse_certificate(text))
+    assert print_poly(total, VARS) == print_poly(combine(built), VARS)
+    assert "terms" not in total.__dict__  # the printer read the product's columns
     assert verify(cert, direction) == verify(built, direction)
     assert cert == built
 

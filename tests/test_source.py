@@ -63,9 +63,9 @@ def test_module_imports_only(module, allowed):
 
 
 def test_only_poly_packs_monomial_keys():
-    # the packed key format is monomial's, and poly alone builds keys from it
+    # the packed key format is monomial's, and poly alone builds and decodes keys
     packers = {f"polycert.monomial.{name}" for name in
-               ("key_packer", "pack_columns", "evs_unchecked")}
+               ("key_packer", "pack_columns", "unpack_columns", "evs_unchecked")}
     users = {path.stem for path in SRC.glob("*.py") if packers & set(_imported_modules(path))}
     assert users == {"poly"}
 
