@@ -16,13 +16,16 @@ over those ops:
 - ``find_witness_s``: the uncounted ``find_witness`` of each op
 
 It takes the ``mul`` pool's direct ``mul`` ops too, their factors parsed
-once, and times three more phases:
+once, and times four more phases:
 
 - ``mul_heap_s``: the ``mul_heap`` product of each op, outside any counter
   scope, where a dict sums each product
 - ``mul_heap_counted_s``: the same products inside one ``count_ops`` scope,
   where the heap merges them with its counts
 - ``print_s``: ``print_poly`` of each op's product, each made once
+- ``print_rational_s``: ``print_poly`` of the products of the direct
+  ``bigcoeff`` ``mul`` ops alone, whose coefficients are Fractions, so the
+  printer's rational path is timed apart from its int path
 
 and the ``mul`` pool's direct ``bigcoeff`` verify ops, whose certificates
 have rational cofactors, and times two more:
@@ -42,8 +45,9 @@ parsed certificates held.  The script prints one JSON line:
     python3 scripts/phase_split.py [--seed 1] [--repeat 7] [--ops N]
 
 ``--ops N`` keeps the first N direct verify ops, the first N direct
-``mul`` ops and the first N direct ``bigcoeff`` verify ops only.  It
-imports ``polycert`` from the ``src`` directory next to it.
+``mul`` ops, the first N direct ``bigcoeff`` ``mul`` ops and the first N
+direct ``bigcoeff`` verify ops only.  It imports ``polycert`` from the
+``src`` directory next to it.
 """
 
 from __future__ import annotations
@@ -88,13 +92,17 @@ def main() -> None:
     certs = {name: parse_certificate(text) for name, text in texts.items()}
     jobs = [(certs[op.cert], ScanDirection(op.direction)) for op in ops]
     mul_pool = gen.build("mul", args.seed)
-    mul_ops = [op for op in mul_pool.ops if op.kind == "mul" and not op.cli][: args.ops]
-    factors = []
-    for op in mul_ops:
+    mul_ops = [op for op in mul_pool.ops if op.kind == "mul" and not op.cli]
+
+    def factors_of(op):
         varset, order = VariableSet(op.names), MonomialOrder(op.order)
         p, q = (parse_poly(mul_pool.files[name], varset, order) for name in op.files)
-        factors.append((p, q, varset))
+        return p, q, varset
+
+    factors = [factors_of(op) for op in mul_ops[: args.ops]]
     products = [(mul_heap(p, q), varset) for p, q, varset in factors]
+    rational_products = [(mul_heap(p, q), varset) for p, q, varset in map(
+        factors_of, [op for op in mul_ops if op.family == "bigcoeff"][: args.ops])]
     rational_ops = [op for op in mul_pool.ops if op.family == "bigcoeff"
                     and op.kind == "verify" and not op.cli][: args.ops]
     rational_texts = {op.cert: mul_pool.files[op.cert] for op in rational_ops}
@@ -144,14 +152,17 @@ def main() -> None:
         with count_ops():
             multiply()
 
-    def printed():
-        for prod, varset in products:
-            print_poly(prod, varset)
+    def printed(products):
+        def run():
+            for prod, varset in products:
+                print_poly(prod, varset)
+        return run
 
     phases = {"parse_s": parse, "setup_s": setup(), "setup_max_s": setup(True),
               "setup_min_s": setup(False), "verify_s": counted, "find_witness_s": uncounted,
               "mul_heap_s": multiply, "mul_heap_counted_s": multiply_counted,
-              "print_s": printed, "rational_parse_s": rational_parse,
+              "print_s": printed(products), "print_rational_s": printed(rational_products),
+              "rational_parse_s": rational_parse,
               "rational_find_witness_s": rational_find_witness}
     fresh = {"rational_find_witness_s"}  # set up anew, untimed, before each pass
     live_mib = parse_live_mib()
@@ -160,7 +171,8 @@ def main() -> None:
         for name, call in phases.items():
             best[name] = min(best[name], timed(call() if name in fresh else call))
     print(json.dumps({"seed": args.seed, "certificates": len(texts), "ops": len(jobs),
-                      "mul_ops": len(factors), "rational_ops": len(rational_ops),
+                      "mul_ops": len(factors), "rational_mul_ops": len(rational_products),
+                      "rational_ops": len(rational_ops),
                       "repeat": args.repeat, "parse_live_mib": round(live_mib, 2),
                       **{k: round(v, 4) for k, v in best.items()}}))
 

@@ -146,17 +146,23 @@ class ExponentVector:
         return f"ExponentVector({exps}{',' if len(self.exponents) == 1 else ''})"
 
 
+_LONG_BITS = 5000  # about 1500 digits: str() is quadratic, so longer ints print by halves
+_ten_to = lru_cache(maxsize=64)((10).__pow__)
+
+
 def int_str(n: int) -> str:
-    """str(n), exact beyond the int-string digit limit: a number over the
-    limit is printed as two halves."""
-    try:
-        return str(n)
-    except ValueError:
-        if n < 0:
-            return "-" + int_str(-n)
-        half = n.bit_length() * 3 // 20  # about half of n's digits
-        high, low = divmod(n, 10**half)
-        return int_str(high) + int_str(low).zfill(half)
+    """str(n), exact beyond the int-string digit limit: a number of more
+    than ``_LONG_BITS`` bits, or over the limit, is printed as two halves."""
+    if n.bit_length() <= _LONG_BITS:
+        try:
+            return str(n)
+        except ValueError:
+            pass
+    if n < 0:
+        return "-" + int_str(-n)
+    half = n.bit_length() * 3 // 20  # about half of n's digits
+    high, low = divmod(n, _ten_to(half))
+    return int_str(high) + int_str(low).zfill(half)
 
 
 def num_repr(c) -> str:

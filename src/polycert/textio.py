@@ -44,14 +44,16 @@ long number's conversion is quadratic in its length.
 
 :func:`print_poly` reads a polynomial's exponent and coefficient columns
 (:func:`~polycert.poly.columns`: a held polynomial's keys decoded),
-``_ROWS`` terms at a time, and builds no term.  It looks each exponent's
-factor text up in a per-variable :class:`_Table` (:func:`_factor_tables`,
-cached per variable set) and joins a term's factors in C.
+``_ROWS`` terms at a time, builds no term, and prints each chunk as one
+join in C of its terms' heads (sign and coefficient) and factor texts,
+each looked up in a :class:`_Table` (per variable for factors, cached per
+variable set), so no term's text outlives its chunk.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from functools import cache, lru_cache
 from itertools import repeat
 from operator import add, attrgetter, itemgetter
@@ -130,6 +132,7 @@ def _term_pattern(names: tuple[str, ...]) -> re.Pattern:
 
 
 _TABLE_SIZE = 4096  # most entries kept by a conversion table
+_MODULUS = sys.hash_info.modulus  # ints this far apart hash alike, so a file can pick a clash
 _ROWS = 2048  # term rows read or printed at a time, so few rows are alive at once
 _SLICE = 8192  # least characters one findall reads of a longer text
 _CUT = re.compile(r" [+-] ")  # a slice ends before the sign of a separator
@@ -137,8 +140,9 @@ _CUT = re.compile(r" [+-] ")  # a slice ends before the sign of a separator
 
 class _Table(dict):
     """Text <-> number, bounded: a miss is converted by `convert` and kept
-    while the table holds fewer than ``_TABLE_SIZE`` entries and its text
-    (the key, or else the value) is under 64 characters; a hit stays in C."""
+    while the table holds fewer than ``_TABLE_SIZE`` entries, its text (the
+    key, or else the value) is under 64 characters and an int key is under
+    ``_MODULUS`` in size, so no two kept keys hash alike; a hit stays in C."""
 
     def __init__(self, convert: Callable, seed: dict) -> None:
         super().__init__(seed)
@@ -146,7 +150,8 @@ class _Table(dict):
 
     def __missing__(self, key):
         value = self.convert(key)
-        if len(self) < _TABLE_SIZE and len(key if isinstance(key, str) else value) < 64:
+        text = key if isinstance(key, str) else value
+        if len(self) < _TABLE_SIZE and len(text) < 64 and (text is key or abs(key) < _MODULUS):
             self[key] = value
         return value
 
@@ -295,16 +300,23 @@ def _factor_tables(names: tuple[str, ...]) -> tuple[_Table, ...]:
     return tuple(_Table(lambda e, v=v: f"*{v}^{_str(e)}", {0: "", 1: "*" + v}) for v in names)
 
 
+# int coefficient -> the sign and coefficient that start its term: 12 -> " + 12"
+_HEADS = _Table(lambda c: f" {'-' if c < 0 else '+'} {_str(abs(c))}", {})
+
+
 def print_poly(p: Polynomial, varset: VariableSet) -> str:
     """Canonical descending text.  A polynomial with no zero coefficient
     reparses to an equal one; a zero term prints as ``0*…``, which the
     parser drops.
 
     p's exponent and coefficient columns (:func:`~polycert.poly.columns`)
-    are read ``_ROWS`` terms at a time.  Each variable's factor text is
-    looked up, in C, in a table of that variable's exponents
-    (:func:`_factor_tables`), each term's factors are joined in C, and each
-    distinct denominator is printed once.
+    are read ``_ROWS`` terms at a time, and each chunk is one join, in C,
+    of its terms' heads and factor texts, laid out by slice assignment.  A
+    head (" + 12", " - 1/2") is looked up in a table of int coefficients
+    (a Fraction's numerator), each distinct denominator printed once, and
+    each variable's factor text in a table of that variable's exponents
+    (:func:`_factor_tables`); then one replace drops every unit
+    coefficient, the only " 1*" in canonical text.
     Before a chunk is printed, :class:`DimensionError` unless each of its
     terms has ``len(varset)`` exponents, and one pass of
     :func:`~polycert.poly.check_coefficients` (a float 1.0 must not print as
@@ -313,26 +325,31 @@ def print_poly(p: Polynomial, varset: VariableSet) -> str:
     if not n:
         return "0"
     tables = _factor_tables(varset.names)
-    denominators = cache(_str)  # for this call: denominators repeat across terms
-    chunks = []  # one string per term, so the peak stays one object a term
+    step = len(tables) + 1
+    denominators: dict = {}  # for this call: denominators repeat across terms
+
+    def rational(num: int, den: int) -> str:
+        if den == 1:
+            return _HEADS[num]
+        # past _MODULUS, keyed by its bytes: their hash is salted, an int's is not
+        key = den if den < _MODULUS else den.to_bytes(den.bit_length() // 8 + 1, "big")
+        text = denominators.get(key) or denominators.setdefault(key, _str(den))
+        return f"{_HEADS[num]}/{text}"
+
+    chunks = []
     for start in range(0, n, _ROWS):
         exps, coeffs = columns(p, start, start + _ROWS)
         if len(exps) != len(varset):
             raise DimensionError(f"expected {len(varset)} exponents, got {len(exps)}")
-        check_coefficients(coeffs)
-        factors = [map(table.__getitem__, column) for table, column in zip(tables, exps)]
-        for c, mono in zip(coeffs, map("".join, zip(*factors))):  # mono: "*x^2*y"
-            if c < 0:
-                sign, c = " - ", -c
-            else:
-                sign = " + "
-            if c != 1 or not mono:
-                num, den = _str(c.numerator), c.denominator
-                if den != 1:
-                    num = f"{num}/{denominators(den)}"
-                chunks.append(f"{sign}{num}{mono}")
-            else:
-                chunks.append(f"{sign}{mono[1:]}")
+        pieces = [""] * (step * len(coeffs))
+        if check_coefficients(coeffs):
+            nums = map(attrgetter("numerator"), coeffs)
+            pieces[::step] = map(rational, nums, map(attrgetter("denominator"), coeffs))
+        else:
+            pieces[::step] = map(_HEADS.__getitem__, coeffs)
+        for at, (table, column) in enumerate(zip(tables, exps), 1):
+            pieces[at::step] = map(table.__getitem__, column)
+        chunks.append("".join(pieces).replace(" 1*", " "))
     first = chunks[0]
     chunks[0] = f"-{first[3:]}" if first[1] == "-" else first[3:]
     return "".join(chunks)

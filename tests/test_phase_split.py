@@ -21,7 +21,9 @@ def test_phase_split_prints_each_phase_and_writes_nothing():
     report = json.loads(out)
     assert (report["seed"], report["ops"], report["repeat"]) == (1, 3, 2)
     assert 1 <= report["certificates"] <= 3
+    assert report["rational_mul_ops"] == 3
     for phase in ("parse_s", "setup_s", "setup_max_s", "setup_min_s", "verify_s",
                   "find_witness_s", "mul_heap_s", "mul_heap_counted_s", "print_s",
-                  "rational_parse_s", "rational_find_witness_s", "parse_live_mib"):
+                  "print_rational_s", "rational_parse_s", "rational_find_witness_s",
+                  "parse_live_mib"):
         assert report[phase] > 0

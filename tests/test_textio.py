@@ -599,6 +599,131 @@ def test_parse_tables_stay_within_their_bound(monkeypatch):
     assert coefficients == {"": 1, "+": 1, "-": -1, "-12": -12}
 
 
+_UNIT_VARS = VariableSet(("x", "x1", "x_1", "xx"))
+_X, _X1, _X_1, _XX, _ONE = (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 0, 0)
+
+
+@pytest.mark.parametrize("terms", [
+    # a unit first, in the middle and as the constant term; x1, x_1 and xx
+    # each right after a dropped unit
+    [(_X1, 1), (_X_1, 11), (_XX, -1), (_ONE, 1)],
+    [(_X, -1), (_X1, 21), (_X_1, 1), (_ONE, -1)],
+    [(_X, 11), (_X1, -1), (_XX, 21), (_ONE, 1)],
+    [(_X1, Fraction(-1, 2)), (_X_1, Fraction(1, 1)), (_XX, Fraction(1, 21)), (_ONE, True)],
+    [(_X, True), (_X1, -1), (_X_1, Fraction(-1, 2)), (_XX, 1), (_ONE, Fraction(1, 21))],
+    [(_X_1, Fraction(1, 1)), (_XX, True), (_ONE, Fraction(-1, 2))],
+    [(_ONE, True)],
+    [(_ONE, Fraction(1, 1))],
+])
+def test_unit_coefficients_print_as_the_per_term_loop_prints_them(terms):
+    p = poly_from_terms(MonomialOrder.LEX, [(ev_make(e), c) for e, c in terms])
+    assert [t.coeff for t in p.terms] == [c for _, c in terms]
+    assert print_poly(p, _UNIT_VARS) == _print_per_term(p, _UNIT_VARS)
+    heads = textio._HEADS
+    assert len(heads) <= textio._TABLE_SIZE
+    assert all(len(text) < 64 for text in heads.values())
+
+
+def test_head_table_stays_within_its_bound(monkeypatch):
+    heads = textio._Table(textio._HEADS.convert, {})
+    monkeypatch.setattr(textio, "_HEADS", heads)
+    x = VariableSet(("x",))
+    n = textio._TABLE_SIZE + 100
+    p = Polynomial(GRLEX, tuple(Term(ev_make((e,)), e - n // 2) for e in range(n, 0, -1)))
+    assert print_poly(p, x) == _print_per_term(p, x)
+    assert len(heads) == textio._TABLE_SIZE
+    big = Polynomial(GRLEX, (Term(ev_make((1,)), 10**70 + 1), Term(ev_make((0,)), -(10**60))))
+    assert print_poly(big, x) == _print_per_term(big, x)
+    assert len(heads) == textio._TABLE_SIZE
+    assert all(len(text) < 64 for text in heads.values())
+
+
+# -- crafted ints that hash alike -------------------------------------------------
+# CPython hashes an int as its value mod sys.hash_info.modulus, unsalted, so a
+# file can give the printer thousands of exponents, coefficients or
+# denominators that are multiples of it.  Each site keeps such keys apart or
+# not at all; kept together, each lookup would probe every earlier one.
+# Each crafted input is timed against a control of the same size and digits
+# whose ints hash apart; at 4000 terms a quadratic site takes many times as
+# long as its control.
+
+import time  # noqa: E402
+
+_CLASH = sys.hash_info.modulus  # k * _CLASH all hash to 0
+_APART = 2**61  # k * 2**61 hash apart, and have about the same digits
+_FLOOD_TERMS = 4000
+
+
+def _print_s(p, vs, monkeypatch):
+    """Best of three prints of p, each with fresh printer tables."""
+    best = float("inf")
+    for _ in range(3):
+        textio._factor_tables.cache_clear()
+        monkeypatch.setattr(textio, "_HEADS", textio._Table(textio._HEADS.convert, {}))
+        start = time.perf_counter()
+        print_poly(p, vs)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def _flood_ratio(make, monkeypatch):
+    """How much longer the crafted polynomial `make(_CLASH)` takes to print
+    than its control `make(_APART)`."""
+    x = VariableSet(("x",))
+    crafted, control = make(_CLASH), make(_APART)
+    assert print_poly(crafted, x) == _print_per_term(crafted, x)
+    return _print_s(crafted, x, monkeypatch) / _print_s(control, x, monkeypatch)
+
+
+def test_exponents_that_hash_alike_print_in_linear_time(monkeypatch):
+    def make(unit):
+        ks = range(_FLOOD_TERMS, 0, -1)
+        return Polynomial(MonomialOrder.LEX, tuple(Term(ev_make((k * unit,)), 1) for k in ks))
+    assert _flood_ratio(make, monkeypatch) < 5
+
+
+def test_coefficients_that_hash_alike_print_in_linear_time(monkeypatch):
+    def make(unit):
+        ks = range(_FLOOD_TERMS, 0, -1)
+        return Polynomial(GRLEX, tuple(Term(ev_make((k,)), (-1) ** k * k * unit) for k in ks))
+    assert _flood_ratio(make, monkeypatch) < 5
+
+
+def test_denominators_that_hash_alike_print_in_linear_time(monkeypatch):
+    def make(unit):
+        ks = range(_FLOOD_TERMS, 0, -1)
+        return Polynomial(GRLEX, tuple(Term(ev_make((k,)), Fraction(1, k * unit)) for k in ks))
+    assert _flood_ratio(make, monkeypatch) < 5
+
+
+# -- long numerals printed by halves -----------------------------------------------
+
+from polycert.monomial import _LONG_BITS, int_str  # noqa: E402
+
+# digit counts around the length past which int_str splits, and past twice it
+_SPLIT_DIGITS = int(_LONG_BITS * 0.30103)
+_HALVES_DIGITS = [*range(_SPLIT_DIGITS - 3, _SPLIT_DIGITS + 4), 2 * _SPLIT_DIGITS + 1, 4000]
+
+
+def _numerals():
+    """(n, its digits) for 10^k + 1 and 7*10^k, whose low halves start with
+    zeros, and 10^k - 1, each with both signs."""
+    for k in _HALVES_DIGITS:
+        for n, digits in ((10**k + 1, "1" + "0" * (k - 1) + "1"), (7 * 10**k, "7" + "0" * k),
+                          (10**k - 1, "9" * k)):
+            yield n, digits
+            yield -n, "-" + digits
+
+
+@pytest.mark.parametrize("limit", [None, 640])
+def test_long_numerals_print_by_halves_as_str_prints_them(set_digit_limit, limit):
+    cases = list(_numerals())
+    assert all(str(n) == digits for n, digits in cases)
+    if limit is not None:
+        set_digit_limit(limit)
+    assert [int_str(n) for n, _ in cases] == [digits for _, digits in cases]
+
+
 @pytest.mark.parametrize("order", ORDERS)
 def test_read_sorted_is_poly_from_terms(order):
     # x^2 appears twice and combines; y appears twice and cancels
